@@ -28,7 +28,7 @@ from repro.core.candidates import CandidateGenerator
 from repro.core.indexes import IndexCatalog
 from repro.core.joinability import JoinDiscovery
 from repro.core.joint.model import JointRepresentationModel
-from repro.core.pkfk import PKFKDiscovery, PKFKLink
+from repro.core.pkfk import PKFKDiscovery, PKFKLink, PKFKLinkIndex
 from repro.core.profiler import DESketch, DOCUMENT, Profile
 from repro.core.unionability import UnionDiscovery
 from repro.text.pipeline import BagOfWords
@@ -68,25 +68,6 @@ def aggregate_to_tables(
         table = table_of(col_id)
         if score > best.get(table, float("-inf")):
             best[table] = score
-    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def pkfk_tables_for(
-    links, table_name: str, table_of
-) -> list[tuple[str, float]]:
-    """Tables PK-FK-linked to ``table_name``, best link score per table.
-
-    Shared by the monolithic :meth:`DiscoveryEngine.pkfk` and the sharded
-    gatherer (which resolves tables through its merged catalog).
-    """
-    best: dict[str, float] = {}
-    for link in links:
-        pk_table = table_of(link.pk_column)
-        fk_table = table_of(link.fk_column)
-        if pk_table == table_name and fk_table != table_name:
-            best[fk_table] = max(best.get(fk_table, 0.0), link.score)
-        elif fk_table == table_name and pk_table != table_name:
-            best[pk_table] = max(best.get(pk_table, 0.0), link.score)
     return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -205,7 +186,7 @@ class DiscoveryEngine:
             else None
         )
         self._structured_cache: dict[tuple[str, str], object] = {}
-        self._pkfk_links: dict[str, list[PKFKLink]] = {}
+        self._pkfk_links: dict[str, PKFKLinkIndex] = {}
         #: Diagnostic: full PK-FK sweeps run so far (the batch executor
         #: reports sweep reuse from this counter).
         self.pkfk_sweeps = 0
@@ -476,11 +457,18 @@ class DiscoveryEngine:
         share — nothing should poke a private cache. ``refresh=True``
         forces a re-sweep; :meth:`invalidate` drops all cached sweeps.
         """
+        return self._pkfk_index(strategy, refresh).links
+
+    def _pkfk_index(self, strategy: str | None = None,
+                    refresh: bool = False) -> PKFKLinkIndex:
+        """The sweep behind :meth:`pkfk_links` with its table adjacency;
+        built with the sweep, dropped with it."""
         resolved = self._resolve_op_strategy("pkfk", strategy)
         if refresh or resolved not in self._pkfk_links:
-            self._pkfk_links[resolved] = self._structured(
-                "pkfk", resolved
-            ).discover()
+            self._pkfk_links[resolved] = PKFKLinkIndex(
+                self._structured("pkfk", resolved).discover(),
+                lambda cid: self.profile.columns[cid].table_name,
+            )
             self.pkfk_sweeps += 1
         return self._pkfk_links[resolved]
 
@@ -525,10 +513,7 @@ class DiscoveryEngine:
              strategy: str | None = None) -> DiscoveryResultSet:
         """Tables PK-FK-joinable with ``table_name``."""
         check_positive(top_n, "top_n")
-        ranked = pkfk_tables_for(
-            self.pkfk_links(strategy), table_name,
-            lambda cid: self.profile.columns[cid].table_name,
-        )
+        ranked = self._pkfk_index(strategy).tables_for(table_name)
         return DiscoveryResultSet(
             ranked[:top_n], operation="pkfk", inputs={"table": table_name}
         )

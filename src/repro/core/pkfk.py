@@ -35,6 +35,55 @@ class PKFKLink:
         return self.containment * self.name_score * self.pk_uniqueness
 
 
+def _link_order(link: PKFKLink) -> tuple:
+    """Canonical link order: best score first, ids break ties."""
+    return (-link.score, link.pk_column, link.fk_column)
+
+
+class PKFKLinkIndex:
+    """A lake-wide PK-FK link list with its table-level adjacency.
+
+    The link graph is the EKG's PK-FK edge set (paper §2.1): it is merged
+    once per generation scope and a ``pkfk`` read is a neighbour lookup.
+    ``links`` is the canonical sorted list, kept as the very object passed
+    in; ``table_of`` resolves a column id to its table name (a profile
+    lookup for the monolithic engine, the merged catalog's for the sharded
+    and served executors). Immutable after construction, so one index may
+    be shared by concurrent readers.
+    """
+
+    def __init__(self, links: list[PKFKLink], table_of):
+        self.links = links
+        best: dict[str, dict[str, float]] = {}
+        for link in links:
+            pk_table = table_of(link.pk_column)
+            fk_table = table_of(link.fk_column)
+            if pk_table == fk_table:
+                continue
+            score = link.score
+            for table, other in ((pk_table, fk_table), (fk_table, pk_table)):
+                row = best.setdefault(table, {})
+                row[other] = max(row.get(other, 0.0), score)
+        self._ranked = {
+            table: sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
+            for table, row in best.items()
+        }
+
+    @classmethod
+    def merged(cls, link_lists, table_of) -> "PKFKLinkIndex":
+        """The index over per-shard link lists (each FK's owner shard
+        reports its links, so the lists are disjoint)."""
+        links = [link for link_list in link_lists for link in link_list]
+        links.sort(key=_link_order)
+        return cls(links, table_of)
+
+    def tables_for(self, table_name: str) -> list[tuple[str, float]]:
+        """Tables PK-FK-linked to ``table_name`` — on either side of a
+        link — with the best link score per table, ranked ``(-score,
+        name)``. The shared list: slice it, do not mutate it."""
+        return self._ranked.get(table_name, [])
+
+
 class PKFKDiscovery:
     """Discovers PK-FK links over all tagged column pairs of a profile."""
 
@@ -162,5 +211,5 @@ class PKFKDiscovery:
                         pk_uniqueness=pk_uniqueness,
                     )
                 )
-        links.sort(key=lambda link: (-link.score, link.pk_column, link.fk_column))
+        links.sort(key=_link_order)
         return links

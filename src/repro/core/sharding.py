@@ -68,9 +68,9 @@ from repro.core.discovery import (
     DiscoveryEngine,
     DiscoveryResultSet,
     aggregate_to_tables,
-    pkfk_tables_for,
 )
 from repro.core.joinability import JoinDiscovery
+from repro.core.pkfk import PKFKLinkIndex
 from repro.core.session import LakeSession
 from repro.core.srql.executor import OP_ORDER, ExecutionStats, Executor
 from repro.core.srql.planner import Planner
@@ -239,9 +239,10 @@ class ShardedExecutor(Executor):
         self.session = session
         self.planner = planner
         self.last_stats: ExecutionStats = ExecutionStats()
-        #: (generation vector, merged links) of the last lake-wide PK-FK
-        #: sweep; any shard mutation changes the vector and invalidates it.
-        self._links_cache: tuple[tuple[int, ...], list] | None = None
+        #: (generation vector, merged link index) of the last lake-wide
+        #: PK-FK sweep; any shard mutation changes the vector and
+        #: invalidates it.
+        self._links_cache: tuple[tuple[int, ...], PKFKLinkIndex] | None = None
 
     # ------------------------------------------------------------- public
 
@@ -263,7 +264,7 @@ class ShardedExecutor(Executor):
         if groups["pkfk"]:
             # Amortise the lake-wide sweep: one scatter feeds every pkfk
             # query in the batch (and later batches, until a mutation).
-            self._pkfk_links(stats)
+            self._pkfk_index(stats)
         for op in OP_ORDER:
             for query, node in groups[op].items():
                 if query not in memo:
@@ -478,7 +479,7 @@ class ShardedExecutor(Executor):
 
     # pkfk -------------------------------------------------------------
 
-    def _pkfk_links(self, stats: ExecutionStats) -> list:
+    def _pkfk_index(self, stats: ExecutionStats) -> PKFKLinkIndex:
         """The lake-wide PK-FK sweep: gather PKs, broadcast, merge links.
 
         Candidate-PK status is a per-column property, so every shard
@@ -502,16 +503,14 @@ class ShardedExecutor(Executor):
                 stats,
                 lambda i, shard: shard.engine.scorer("pkfk").links_for(entries),
             )
-            links = [link for link_list in link_lists for link in link_list]
-            links.sort(key=lambda link: (-link.score, link.pk_column, link.fk_column))
-            self._links_cache = (key, links)
+            self._links_cache = (
+                key, PKFKLinkIndex.merged(link_lists, self._table_of)
+            )
             stats.pkfk_sweeps += 1
         return self._links_cache[1]
 
     def _pkfk(self, stats, query) -> DiscoveryResultSet:
-        ranked = pkfk_tables_for(
-            self._pkfk_links(stats), query.table, self._table_of
-        )
+        ranked = self._pkfk_index(stats).tables_for(query.table)
         return DiscoveryResultSet(
             ranked[: query.top_n], operation="pkfk", inputs={"table": query.table}
         )

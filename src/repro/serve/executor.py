@@ -21,9 +21,23 @@ but primitive evaluation differs in three ways:
 Generation scopes per partial: a keyword list depends on its own shard —
 plus, under ``global_stats``, on every shard (corpus-wide df/N feed the
 scores). An owner-derived probe (cross-modal encodings, join/union
-sketches) depends on the owner and the probed shard. Union phase 2 and
-PK-FK links fold evidence from all shards, so they scope to the full
-vector.
+sketches) depends on the owner and the probed shard. Union phase 2 folds
+evidence from all shards, so it scopes to the full vector.
+
+PK-FK is the one operator cached *merged*: the lake-wide link graph is
+built once per generation vector into a
+:class:`~repro.core.pkfk.PKFKLinkIndex` stored under the cache's
+``FRONT`` scope, and a ``pkfk`` read at an unchanged vector is one cache
+lookup — no staging, no round-trip, no merge. Only when the index is
+missing does the two-stage sweep run (``pk_entries`` gather, cached per
+shard; ``pkfk_links_for`` broadcast, not cached — the index supersedes
+it).
+
+Under ``degraded="partial"`` nothing derived from a substitute is ever
+cached: not the substitute itself, not a healthy shard's follow-up
+computed from a gather the substitute was part of, and not the index.
+Such a value would carry a generation scope that still matches once the
+down shard recovers to its reconciled generation, and outlive the outage.
 """
 
 from __future__ import annotations
@@ -34,11 +48,12 @@ from repro.core.discovery import (
     DiscoveryEngine,
     DiscoveryResultSet,
     aggregate_to_tables,
-    pkfk_tables_for,
 )
 from repro.core.joinability import JoinDiscovery
+from repro.core.pkfk import PKFKLinkIndex
 from repro.core.sharding import _merge_topk
 from repro.core.srql.executor import OP_ORDER, ExecutionStats, Executor
+from repro.serve.cache import FRONT
 from repro.serve.rpc import ShardUnavailable
 from repro.utils.timing import Timer
 
@@ -90,9 +105,6 @@ class ServingExecutor(Executor):
         self._retries0 = getattr(self.backend, "total_retries", 0)
         self._respawns0 = getattr(self.backend, "total_respawns", 0)
         self.last_stats: ExecutionStats = ExecutionStats()
-        #: Merged PK-FK links of this batch (one sweep feeds every pkfk
-        #: query, as in the monolithic and sharded executors).
-        self._links: list | None = None
 
     # ------------------------------------------------------------- public
 
@@ -139,6 +151,24 @@ class ServingExecutor(Executor):
             return self._full
         return (self.gens[shard],)
 
+    @property
+    def _pkfk_index_key(self) -> tuple:
+        """The link graph folds every shard's keys against every shard's
+        columns: it scopes to the full vector."""
+        return (("pkfk_index",), self._full)
+
+    def _cached_pkfk_index(self, stats: ExecutionStats) -> PKFKLinkIndex | None:
+        """The merged link index of this batch's generation vector, if a
+        previous sweep under the same vector stored one."""
+        if self.cache is None:
+            return None
+        index = self.cache.get(FRONT, self._pkfk_index_key)
+        if index is None:
+            stats.cache_misses += 1
+        else:
+            stats.cache_hits += 1
+        return index
+
     def _fetch(self, requests: list[_Request], stats: ExecutionStats):
         """Resolve requests through the cache; batch misses one round-trip
         per shard, pinned to the batch's generation vector. Returns
@@ -146,7 +176,9 @@ class ServingExecutor(Executor):
         request indices filled with neutral substitutes because their
         shard stayed down past its retry budget (always empty under
         ``degraded="fail"`` — the :class:`ShardUnavailable` is re-raised
-        instead). Substitutes are never cached."""
+        instead). Substitutes are never cached; a caller staging requests
+        from a degraded result passes ``tag=None`` so their replies are
+        not cached either."""
         results: list = [None] * len(requests)
         hit_mask = [False] * len(requests)
         pending: dict[tuple, list[int]] = {}  # in-flight key -> indices
@@ -362,7 +394,7 @@ class ServingExecutor(Executor):
             ctx["at"] = broadcast(
                 "joinable_columns_for",
                 {"sketches": ctx["sketches"]},
-                ("join", query.table),
+                None if ctx["tsk_at"] in d0 else ("join", query.table),
                 lambda i, o=ctx["owner"]: (gens[o], gens[i]),
             )
 
@@ -383,15 +415,18 @@ class ServingExecutor(Executor):
                 lambda i, o=ctx["owner"]: (gens[o], gens[i]),
             )
 
+        # One lookup answers every pkfk query of the group; the sweep is
+        # staged only when the vector has no index yet.
         pkfk_queries = list(groups["pkfk"])
-        need_links = bool(pkfk_queries) and self._links is None
+        index = self._cached_pkfk_index(stats) if pkfk_queries else None
+        need_links = bool(pkfk_queries) and index is None
         if need_links:
             entries_at = broadcast(
                 "pk_entries", {}, ("pk_entries",),
                 lambda i: (gens[i],),
             )
 
-        r1, _, _ = self._fetch(stage1, stats)
+        r1, _, d1 = self._fetch(stage1, stats)
 
         # keyword / cross-modal / joinable finish on stage-1 partials.
         for ctx in keyword_ctx:
@@ -481,7 +516,9 @@ class ServingExecutor(Executor):
                     {"sketches": sketches, "evidence": shard_evidence[i],
                      "top_n": query.top_n, "row_caps": row_caps,
                      "table": query.table},
-                    ("uni2", query.table, query.top_n), full,
+                    ("uni2", query.table, query.top_n)
+                    if d1.isdisjoint(ctx["at"]) else None,
+                    full,
                 ))
 
         if need_links:
@@ -494,11 +531,10 @@ class ServingExecutor(Executor):
             for i in shards:
                 links_at.append(len(stage2))
                 stage2.append(_Request(
-                    i, "pkfk_links_for", {"entries": entries},
-                    ("pkfk_links",), full,
+                    i, "pkfk_links_for", {"entries": entries}, None, None,
                 ))
 
-        r2, r2_hits, _ = self._fetch(stage2, stats)
+        r2, _, d2 = self._fetch(stage2, stats)
 
         for ctx in union_ctx:
             if ctx["at"] is None:
@@ -515,17 +551,17 @@ class ServingExecutor(Executor):
             )
 
         if need_links:
-            links = [link for a in links_at for link in r2[a]]
-            links.sort(
-                key=lambda link: (-link.score, link.pk_column, link.fk_column)
+            index = PKFKLinkIndex.merged(
+                [r2[a] for a in links_at], self._table_of
             )
-            self._links = links
-            if any(not r2_hits[a] for a in links_at):
-                stats.pkfk_sweeps += 1
+            stats.pkfk_sweeps += 1
+            complete = d1.isdisjoint(entries_at) and d2.isdisjoint(links_at)
+            if self.cache is not None and complete:
+                self.cache.put(FRONT, self._pkfk_index_key, index)
         for query in pkfk_queries:
             self._count(stats, "pkfk")
             stats.pkfk_queries += 1
-            ranked = pkfk_tables_for(self._links, query.table, self._table_of)
+            ranked = index.tables_for(query.table)
             memo[query] = DiscoveryResultSet(
                 ranked[: query.top_n],
                 operation="pkfk",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.discovery import DiscoveryResultSet
+from repro.core.pkfk import PKFKLink, PKFKLinkIndex
 from repro.core.profiler import Profiler
 from repro.relational.catalog import DataLake, Document
 from repro.relational.table import Table
@@ -118,3 +119,47 @@ class TestProfilerInvariants:
         sketch = profile.columns["t0.col_a"]
         assert sketch.value_set == frozenset(
             lake.column("t0.col_a").distinct_values)
+
+
+def scan_tables_for(links, table_name, table_of):
+    """The retired per-query linear scan over the whole link list — the
+    reference :class:`PKFKLinkIndex` must reproduce byte for byte."""
+    best: dict[str, float] = {}
+    for link in links:
+        pk_table = table_of(link.pk_column)
+        fk_table = table_of(link.fk_column)
+        if pk_table == table_name and fk_table != table_name:
+            best[fk_table] = max(best.get(fk_table, 0.0), link.score)
+        elif fk_table == table_name and pk_table != table_name:
+            best[pk_table] = max(best.get(pk_table, 0.0), link.score)
+    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+class TestPKFKLinkIndex:
+    # Few tables / columns / score levels: ties, several links per table
+    # pair, tables on both the PK and FK side and same-table links all
+    # turn up within a handful of examples.
+    column_ids = st.builds(
+        "t{}.c{}".format, st.integers(0, 3), st.integers(0, 2)
+    )
+    levels = st.sampled_from([0.0, 0.5, 1.0])
+    link_lists = st.lists(
+        st.builds(PKFKLink, column_ids, column_ids, levels, levels, levels),
+        max_size=24,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(link_lists, link_lists)
+    def test_tables_for_equals_linear_scan(self, shard_a, shard_b):
+        def table_of(column_id):
+            return column_id.split(".")[0]
+
+        index = PKFKLinkIndex.merged([shard_a, shard_b], table_of)
+        assert sorted(index.links, key=id) == sorted(shard_a + shard_b, key=id)
+        keys = [(-l.score, l.pk_column, l.fk_column) for l in index.links]
+        assert keys == sorted(keys)
+        for table in ("t0", "t1", "t2", "t3", "t-unknown"):
+            assert index.tables_for(table) == scan_tables_for(
+                index.links, table, table_of
+            )
+        assert PKFKLinkIndex(index.links, table_of).links is index.links

@@ -303,7 +303,8 @@ class TestPerSweepAutoStrategy:
         assert set(engine._pkfk_links) == {"exact", "indexed"}
         # Seed-scale probes reach full recall: same links either way.
         assert [(l.pk_column, l.fk_column) for l in links] == [
-            (l.pk_column, l.fk_column) for l in engine._pkfk_links["exact"]
+            (l.pk_column, l.fk_column)
+            for l in engine.pkfk_links(strategy="exact")
         ]
 
     def test_mutation_refreshes_auto_resolution(self, toy_lake):

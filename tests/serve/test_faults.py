@@ -248,6 +248,51 @@ class TestDegraded:
         finally:
             server.close()
 
+    def test_partials_from_a_degraded_gather_do_not_outlive_the_outage(
+        self, seed, tmp_path
+    ):
+        """A healthy shard's follow-up computed from an incomplete gather
+        (links against a partial key list, phase-2 union over partial
+        phase-1 evidence, join probes for sketches that never arrived)
+        must not be cached: the down shard recovers to its reconciled
+        generation, so the vector — and with it every full-scope key —
+        is the same before and after the outage."""
+        server = LakeServer(
+            lake_copy(seed, tmp_path), backend="process",
+            degraded="partial", max_respawns=1, **FAST,
+        )
+        try:
+            picked = [
+                (query, want)
+                for query, want in zip(seed.queries, seed.expected)
+                if want.operation in ("pkfk", "unionable", "joinable")
+            ]
+            queries = [query for query, _ in picked]
+            expected = [want for _, want in picked]
+            vector = server.generations
+
+            faults.install("crash:boot")  # every respawn dies at boot
+            try:
+                kill_worker(server, 1)
+                degraded = server.discover_batch(queries)
+                assert server.last_stats.degraded_shards == [1]
+                assert len(degraded) == len(queries)
+            finally:
+                faults.clear()
+
+            server.reset_shard(1)
+            got = server.discover_batch(queries)
+            assert server.last_stats.degraded_shards == []
+            assert server.backend.total_respawns == 1
+            assert server.generations == vector
+            assert_same_results(expected, got, queries, "after the outage")
+            # ...and the recovered answers are what stays cached.
+            again = server.discover_batch(queries)
+            assert server.last_stats.shard_round_trips == {}
+            assert_same_results(expected, again, queries, "warm after outage")
+        finally:
+            server.close()
+
     def test_mutations_never_degrade(self, seed, tmp_path):
         server = self.down_server(seed, tmp_path, degraded="partial")
         try:
