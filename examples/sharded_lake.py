@@ -7,7 +7,7 @@ are fitted independently (concurrently, on multi-core hosts) and served
 behind the same session surface:
 
     session = open_lake(lake, shards=4)         # N partitioned fits
-    session.discover(Q.joinable("drugs"))       # scatter-gather merge
+    session.discover(Q.joinable("drugs"))       # scatter-gather merge, cached
     session.add_table(table)                    # routed to ONE shard
     session.rebalance({"drugs": 2})             # move entries between shards
     session.shards[0].refresh()                 # each shard on its own clock
@@ -59,6 +59,17 @@ def main() -> None:
     print(f"\n  per-shard generations: {stats.shard_generations}")
     print("  per-shard seconds:",
           {i: f"{s * 1000:.1f}ms" for i, s in stats.shard_seconds.items()})
+
+    # The session runs the executor a LakeServer runs, result cache
+    # included: at an unchanged generation vector a repeated query is
+    # answered from cached per-shard partials, without visiting a shard.
+    for attempt in ("first", "repeated"):
+        session.discover(Q.unionable("drugs", top_n=3))
+        stats = session.last_batch_stats
+        print(f"  {attempt} unionable('drugs'): "
+              f"cache_hits={stats.cache_hits} "
+              f"cache_misses={stats.cache_misses} "
+              f"shard_round_trips={stats.shard_round_trips}")
 
     # 2. A mutation routes to exactly one shard; siblings never re-index.
     trials = Table.from_dict("clinical_trials", {

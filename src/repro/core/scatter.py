@@ -1,22 +1,40 @@
-"""Generation-pinned, cache-fronted scatter execution for serving.
+"""Scatter-gather SRQL execution over lake shards: the one sharded read path.
 
-:class:`ServingExecutor` is the serving counterpart of
-:class:`~repro.core.sharding.ShardedExecutor`: the merge logic is
-replicated step for step (the parity contract is *byte-identical* top-k),
-but primitive evaluation differs in three ways:
+Everything that answers a query across shards lives in this module, and
+none of it knows where the shards run:
 
-* **pinned snapshot** — the executor is constructed per batch with the
-  generation vector captured under the server's read lock; every result it
-  produces, and every cache entry it writes, is attributed to exactly that
-  vector;
+* :class:`ShardHost` + :data:`READ_OPS` — the per-shard read operations,
+  the units of scatter. An in-process shard (a sharded session, the
+  thread backend) calls :meth:`ShardHost.handle` directly; a worker
+  process calls it at the far end of the RPC pipe
+  (:mod:`repro.serve.ops` adds the worker-only state and mutation ops);
+* :class:`MergedCatalog` — the planner-facing profile merged from
+  per-shard views (live hosts, or a front-end's copies of its workers'
+  catalogs);
+* :class:`DirectTransport` — the in-process transport shared by
+  :class:`~repro.core.sharding.ShardedLakeSession` and the serving
+  layer's thread backend;
+* :class:`ScatterGatherExecutor` — per primitive, the staged fan-out and
+  the merge of per-shard partials into the global top-k.
+
+The executor is constructed per batch from a *transport* (``num_shards``,
+``global_stats``, ``router``, ``catalog``, ``union_candidate_k``,
+``round_trip(shard, ops, pinned_gen=)``, the ``total_retries`` /
+``total_respawns`` counters) and three properties of the batch:
+
+* **pinned snapshot** — the generation vector captured by the caller
+  (under the server's read lock, when there is one); every result the
+  executor produces, and every cache entry it writes, is attributed to
+  exactly that vector;
 * **batched round-trips** — per pipeline stage, all primitive work bound
-  for one shard ships as a single ``batch`` op (one RPC for the process
-  backend, one lock acquisition for the thread backend): a whole operator
-  group costs each shard at most three round-trips (owner fetches,
-  broadcast probes, dependent follow-ups), not one per primitive;
+  for one shard ships as a single batch (one RPC for the process
+  backend, one lock acquisition in-process): a whole operator group costs
+  each shard at most three round-trips (owner fetches, broadcast probes,
+  dependent follow-ups), not one per primitive;
 * **the result cache** — per-shard *partials* are cached under
   ``(tag, generation scope)`` keys, so a mutation on one shard leaves
-  every other shard's contributions warm (see :mod:`repro.serve.cache`).
+  every other shard's contributions warm
+  (see :mod:`repro.core.result_cache`).
 
 Generation scopes per partial: a keyword list depends on its own shard —
 plus, under ``global_stats``, on every shard (corpus-wide df/N feed the
@@ -31,7 +49,9 @@ built once per generation vector into a
 lookup — no staging, no round-trip, no merge. Only when the index is
 missing does the two-stage sweep run (``pk_entries`` gather, cached per
 shard; ``pkfk_links_for`` broadcast, not cached — the index supersedes
-it).
+it). Candidate-PK status is a per-column property, so every shard
+contributes its local PKs; the lake-wide PK set is then broadcast and each
+(PK, FK) pair is examined exactly once, by the shard owning the FK.
 
 Under ``degraded="partial"`` nothing derived from a substitute is ever
 cached: not the substitute itself, not a healthy shard's follow-up
@@ -43,6 +63,7 @@ down shard recovers to its reconciled generation, and outlive the outage.
 from __future__ import annotations
 
 from collections import namedtuple
+from threading import Lock
 
 from repro.core.discovery import (
     DiscoveryEngine,
@@ -51,11 +72,265 @@ from repro.core.discovery import (
 )
 from repro.core.joinability import JoinDiscovery
 from repro.core.pkfk import PKFKLinkIndex
-from repro.core.sharding import _merge_topk
+from repro.core.result_cache import FRONT
 from repro.core.srql.executor import OP_ORDER, ExecutionStats, Executor
-from repro.serve.cache import FRONT
-from repro.serve.rpc import ShardUnavailable
 from repro.utils.timing import Timer
+
+
+def _merge_topk(ranked_lists, k: int) -> list[tuple[str, float]]:
+    """K-way merge of per-shard ``(id, score)`` lists into the global top-k.
+
+    Every input list is sorted by ``(-score, id)`` and locally complete
+    (the true top-k of its shard), and ids are disjoint across shards, so
+    sorting the concatenation and cutting at ``k`` is exactly the
+    monolithic top-k under the same ordering.
+    """
+    merged = [item for ranked in ranked_lists for item in ranked]
+    merged.sort(key=lambda kv: (-kv[1], kv[0]))
+    return merged[:k]
+
+
+def fan_out(pool, fn, items) -> list:
+    """``fn`` over ``items``, results in order — on ``pool`` when there is
+    one and more than one item to overlap."""
+    if pool is not None and len(items) > 1:
+        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+# -------------------------------------------------------------- shard side
+
+#: Scratch entries (union pair caches) kept per shard before the oldest
+#: are dropped.
+_SCRATCH_LIMIT = 8
+
+
+def _generation(host: "ShardHost", payload: dict) -> int:
+    return host.session.generation
+
+
+def _document_encoding(host: "ShardHost", payload: dict):
+    return host.session.profile.documents[payload["doc_id"]].encoding
+
+
+def _table_sketches(host: "ShardHost", payload: dict) -> list:
+    profile = host.session.profile
+    return [
+        profile.columns[cid]
+        for cid in profile.columns_of_table(payload["table"])
+    ]
+
+
+def _keyword(host: "ShardHost", payload: dict) -> list:
+    result = getattr(host.session.engine, payload["op"])(
+        payload["value"], mode=payload["mode"], k=payload["k"]
+    )
+    return result.items
+
+
+def _text_query_sketch(host: "ShardHost", payload: dict):
+    return host.session.engine.text_query_sketch(payload["value"])
+
+
+def _text_column_parts(host: "ShardHost", payload: dict) -> tuple:
+    return host.session.engine.text_column_parts(
+        payload["sketch"], payload["k"]
+    )
+
+
+def _encoding_column_hits(host: "ShardHost", payload: dict) -> list:
+    return host.session.engine.encoding_column_hits(
+        payload["encoding"], payload["k"]
+    )
+
+
+def _joinable_columns_for(host: "ShardHost", payload: dict) -> dict:
+    scorer = host.session.engine.scorer("joinable")
+    k = payload.get("k", JoinDiscovery.PER_COLUMN_K)
+    return {
+        sketch.de_id: scorer.joinable_columns_for(sketch, k=k)
+        for sketch in payload["sketches"]
+    }
+
+
+def _union_phase1(host: "ShardHost", payload: dict) -> tuple:
+    """Candidate scoring; parks the pair cache for this query's phase 2."""
+    pair_cache: dict = {}
+    hits, caps = host.session.engine.scorer("unionable").candidate_hits_for(
+        payload["sketches"], pair_cache=pair_cache
+    )
+    host._scratch_put(
+        ("union", payload["table"], host.session.generation), pair_cache
+    )
+    return hits, caps
+
+
+def _union_phase2(host: "ShardHost", payload: dict) -> list:
+    pair_cache = host.scratch.pop(
+        ("union", payload["table"], host.session.generation), None
+    )
+    if pair_cache is None:
+        pair_cache = {}
+    return host.session.engine.scorer("unionable").alignment_scores_for(
+        payload["sketches"],
+        payload["evidence"],
+        payload["top_n"],
+        row_caps=payload["row_caps"],
+        pair_cache=pair_cache,
+    )
+
+
+def _pk_entries(host: "ShardHost", payload: dict) -> list:
+    return host.session.engine.scorer("pkfk").candidate_pk_entries()
+
+
+def _pkfk_links_for(host: "ShardHost", payload: dict) -> list:
+    return host.session.engine.scorer("pkfk").links_for(payload["entries"])
+
+
+#: The read half of the shard-op table: pure functions of ``(host,
+#: payload)``. Physical strategy is resolved *per shard* — each shard's
+#: engine resolves the configured choice against its own size, so the
+#: "auto" heuristic sees the shard, not the lake.
+READ_OPS = {
+    "generation": _generation,
+    "document_encoding": _document_encoding,
+    "table_sketches": _table_sketches,
+    "keyword": _keyword,
+    "text_query_sketch": _text_query_sketch,
+    "text_column_parts": _text_column_parts,
+    "encoding_column_hits": _encoding_column_hits,
+    "joinable_columns_for": _joinable_columns_for,
+    "union_phase1": _union_phase1,
+    "union_phase2": _union_phase2,
+    "pk_entries": _pk_entries,
+    "pkfk_links_for": _pkfk_links_for,
+}
+
+
+class ShardHost:
+    """One live shard session, the serving scratch state around it, and
+    the shard view (``generation`` / ``table_columns`` / ``columns`` /
+    ``documents``) :class:`MergedCatalog` merges."""
+
+    def __init__(self, session, ops: dict = READ_OPS):
+        self.session = session
+        self.ops = ops
+        #: Transient per-query state (union pair caches shared between the
+        #: two alignment phases), keyed by (tag, table, generation).
+        self.scratch: dict = {}
+        #: Serialises ops on this shard: engine caches are not re-entrant.
+        self.lock = Lock()
+
+    @property
+    def generation(self) -> int:
+        return self.session.generation
+
+    @property
+    def table_columns(self) -> dict:
+        return self.session.profile.table_columns
+
+    @property
+    def columns(self) -> dict:
+        return self.session.profile.columns
+
+    @property
+    def documents(self) -> dict:
+        return self.session.profile.documents
+
+    def handle(self, op: str, payload: dict):
+        try:
+            fn = self.ops[op]
+        except KeyError:
+            raise ValueError(f"unknown shard op {op!r}") from None
+        return fn(self, payload)
+
+    def _scratch_put(self, key, value) -> None:
+        self.scratch[key] = value
+        while len(self.scratch) > _SCRATCH_LIMIT:
+            self.scratch.pop(next(iter(self.scratch)))
+
+
+class MergedCatalog:
+    """Read-only, planner-facing profile merged from per-shard views.
+
+    A view is anything with ``generation``, ``table_columns``, ``columns``
+    and ``documents`` (a mapping keyed by doc id): a live
+    :class:`ShardHost`, or a front-end's copy of a worker's catalog. The
+    merge duck-types the parts of :class:`~repro.core.profiler.Profile`
+    the SRQL planner (validation, the "auto" heuristic) and the gather
+    phase (column -> table resolution) read; it is built lazily and cached
+    against the generation vector, so any shard mutation invalidates it.
+    """
+
+    def __init__(self, views: list):
+        self.views = views
+        self._key: tuple | None = None
+        self._merged: tuple[dict, dict, dict] = ({}, {}, {})
+
+    def _sync(self) -> tuple[dict, dict, dict]:
+        """``(table_columns, columns, documents)`` at the views' current
+        generation vector."""
+        key = tuple(view.generation for view in self.views)
+        if key != self._key:
+            table_columns: dict[str, list[str]] = {}
+            columns: dict = {}
+            documents: dict = {}
+            for view in self.views:
+                table_columns.update(view.table_columns)
+                columns.update(view.columns)
+                documents.update(view.documents)
+            self._merged, self._key = (table_columns, columns, documents), key
+        return self._merged
+
+    @property
+    def table_columns(self) -> dict[str, list[str]]:
+        return self._sync()[0]
+
+    @property
+    def columns(self) -> dict:
+        return self._sync()[1]
+
+    @property
+    def documents(self) -> dict:
+        return self._sync()[2]
+
+    def columns_of_table(self, table_name: str) -> list[str]:
+        return self.table_columns.get(table_name, [])
+
+    @property
+    def num_des(self) -> int:
+        return len(self.documents) + len(self.columns)
+
+
+class DirectTransport:
+    """The in-process transport: ops run on :attr:`hosts` in the caller's
+    thread, under each host's lock.
+
+    Mixed into whatever owns the hosts (it also provides ``router``,
+    ``global_stats``, ``catalog`` and ``num_shards``). In-process shards
+    cannot fail independently of the caller, so the supervision counters
+    stay zero and ``pinned_gen`` never mismatches (generations only move
+    when the owner mutates).
+    """
+
+    total_retries = 0
+    total_respawns = 0
+    hosts: list[ShardHost]
+
+    @property
+    def union_candidate_k(self) -> int:
+        return self.hosts[0].session.engine.scorer("unionable").candidate_k
+
+    def round_trip(
+        self, shard: int, ops: list, pinned_gen: int | None = None
+    ) -> list:
+        host = self.hosts[shard]
+        with host.lock:
+            return [host.handle(op, payload or {}) for op, payload in ops]
+
+
+# ------------------------------------------------------------ gather side
 
 #: One unit of per-shard work: ``tag``/``dep`` form the cache key (``tag``
 #: of ``None`` disables caching for this request).
@@ -90,20 +365,54 @@ def _degraded_value(op: str, payload: dict):
     return []
 
 
-class ServingExecutor(Executor):
-    """One batch's executor: pinned generations, staged fetches, cache."""
+def _table_result(operation: str, query, items) -> DiscoveryResultSet:
+    return DiscoveryResultSet(
+        items, operation=operation, inputs={"table": query.table}
+    )
 
-    def __init__(self, server, generations: dict[int, int]):
-        self.server = server
-        self.backend = server.backend
-        self.planner = server.planner
-        self.cache = server.cache
+
+def _xm_result(query, tables) -> DiscoveryResultSet:
+    return DiscoveryResultSet(
+        tables,
+        operation="crossModal_search",
+        inputs={"value": query.value, "representation": query.representation},
+    )
+
+
+class ScatterGatherExecutor(Executor):
+    """One batch's executor: pinned generations, staged fetches, cache.
+
+    Reuses the monolithic :class:`~repro.core.srql.executor.Executor`'s
+    composition and memoisation; primitive evaluation fans out across the
+    transport's shards and merges. ``cache`` of ``None`` disables partial
+    caching; ``pool`` overlaps the per-shard round-trips of a stage;
+    ``unavailable`` is the exception type by which the transport reports
+    a shard down past its retry budget, and ``degraded`` what that does
+    to the batch (``"fail"`` re-raises, ``"partial"`` substitutes an
+    empty shard and lists it in ``ExecutionStats.degraded_shards``).
+    """
+
+    def __init__(
+        self,
+        transport,
+        planner,
+        generations: dict[int, int],
+        cache=None,
+        pool=None,
+        degraded: str = "fail",
+        unavailable=(),
+    ):
+        self.transport = transport
+        self.planner = planner
+        self.cache = cache
+        self.pool = pool
         self.gens = dict(generations)
-        self.num_shards = server.backend.num_shards
-        self.global_stats = server.backend.global_stats
-        self.degraded = getattr(server, "degraded", "fail")
-        self._retries0 = getattr(self.backend, "total_retries", 0)
-        self._respawns0 = getattr(self.backend, "total_respawns", 0)
+        self.num_shards = transport.num_shards
+        self.global_stats = transport.global_stats
+        self.degraded = degraded
+        self.unavailable = unavailable
+        self._retries0 = transport.total_retries
+        self._respawns0 = transport.total_respawns
         self.last_stats: ExecutionStats = ExecutionStats()
 
     # ------------------------------------------------------------- public
@@ -121,10 +430,8 @@ class ServingExecutor(Executor):
                     groups[node.op].setdefault(node.query, node)
         self._run_groups(groups, stats, memo)
         results = [self._eval(plan.root, memo, stats) for plan in plans]
-        stats.retries = getattr(self.backend, "total_retries", 0) - self._retries0
-        stats.respawns = (
-            getattr(self.backend, "total_respawns", 0) - self._respawns0
-        )
+        stats.retries = self.transport.total_retries - self._retries0
+        stats.respawns = self.transport.total_respawns - self._respawns0
         self.last_stats = stats
         return results
 
@@ -139,8 +446,8 @@ class ServingExecutor(Executor):
     # ----------------------------------------------------------- plumbing
 
     @property
-    def catalog(self):
-        return self.backend.catalog
+    def catalog(self) -> MergedCatalog:
+        return self.transport.catalog
 
     def _table_of(self, column_id: str) -> str:
         return self.catalog.columns[column_id].table_name
@@ -172,15 +479,14 @@ class ServingExecutor(Executor):
     def _fetch(self, requests: list[_Request], stats: ExecutionStats):
         """Resolve requests through the cache; batch misses one round-trip
         per shard, pinned to the batch's generation vector. Returns
-        ``(results, hit_mask, degraded)`` where ``degraded`` is the set of
+        ``(results, degraded)`` where ``degraded`` is the set of
         request indices filled with neutral substitutes because their
         shard stayed down past its retry budget (always empty under
-        ``degraded="fail"`` — the :class:`ShardUnavailable` is re-raised
-        instead). Substitutes are never cached; a caller staging requests
-        from a degraded result passes ``tag=None`` so their replies are
-        not cached either."""
+        ``degraded="fail"`` — the transport's ``unavailable`` error is
+        re-raised instead). Substitutes are never cached; a caller staging
+        requests from a degraded result passes ``tag=None`` so their
+        replies are not cached either."""
         results: list = [None] * len(requests)
-        hit_mask = [False] * len(requests)
         pending: dict[tuple, list[int]] = {}  # in-flight key -> indices
         misses: dict[int, list[int]] = {}
         cache = self.cache
@@ -191,7 +497,6 @@ class ServingExecutor(Executor):
                 if hit is not None:
                     stats.cache_hits += 1
                     results[i] = hit
-                    hit_mask[i] = True
                     continue
                 stats.cache_misses += 1
                 # Identical keyed requests inside one stage (e.g. join and
@@ -203,17 +508,17 @@ class ServingExecutor(Executor):
                 pending[shard_key] = [i]
             misses.setdefault(request.shard, []).append(i)
 
-        failed: dict[int, ShardUnavailable] = {}
+        failed: dict[int, Exception] = {}
 
         def run(shard: int) -> None:
             indices = misses[shard]
             ops = [(requests[i].op, requests[i].payload) for i in indices]
             try:
                 with Timer() as timer:
-                    values = self.backend.round_trip(
+                    values = self.transport.round_trip(
                         shard, ops, pinned_gen=self.gens.get(shard)
                     )
-            except ShardUnavailable as exc:
+            except self.unavailable as exc:
                 failed[shard] = exc
                 return
             stats.shard_seconds[shard] = (
@@ -228,7 +533,7 @@ class ServingExecutor(Executor):
                 if request.tag is not None and cache is not None:
                     cache.put(request.shard, (request.tag, request.dep), value)
 
-        self.server.map_shards(run, list(misses))
+        fan_out(self.pool, run, list(misses))
         degraded: set[int] = set()
         if failed:
             if self.degraded != "partial":
@@ -247,7 +552,7 @@ class ServingExecutor(Executor):
                 results[i] = results[indices[0]]
                 if indices[0] in degraded:
                     degraded.add(i)
-        return results, hit_mask, degraded
+        return results, degraded
 
     # ------------------------------------------------------------- stages
 
@@ -256,18 +561,15 @@ class ServingExecutor(Executor):
         shards = range(self.num_shards)
         self._full = tuple(gens[i] for i in shards)
         full = self._full
-        router = self.backend.router
+        router = self.transport.router
+        views = self.catalog.views
 
         # ---- stage 0: owner/probe fetches -----------------------------
         stage0: list[_Request] = []
         xm_ctx: list[dict] = []
         for query in groups["cross_modal"]:
             owner = next(
-                (
-                    i for i in shards
-                    if query.value in self.backend.shard_documents(i)
-                ),
-                None,
+                (i for i in shards if query.value in views[i].documents), None
             )
             ctx = {"query": query, "owner": owner}
             if owner is not None:
@@ -280,7 +582,11 @@ class ServingExecutor(Executor):
                 ))
             else:
                 probe = next(
-                    (i for i in shards if self.backend.shard_num_des(i)), None
+                    (
+                        i for i in shards
+                        if views[i].documents or views[i].columns
+                    ),
+                    None,
                 )
                 if probe is None:
                     raise ValueError(
@@ -288,6 +594,9 @@ class ServingExecutor(Executor):
                         "profile (no documents and no columns to borrow "
                         "hash-family settings from)"
                     )
+                # One query sketch for all shards: signatures are
+                # hash-family compatible because every shard fits with
+                # the same seed/hashes.
                 ctx["probe"] = probe
                 ctx["tqs_at"] = len(stage0)
                 stage0.append(_Request(
@@ -314,7 +623,7 @@ class ServingExecutor(Executor):
             owner, at = owner_sketches(query.table)
             union_ctx.append({"query": query, "owner": owner, "tsk_at": at})
 
-        r0, _, d0 = self._fetch(stage0, stats)
+        r0, d0 = self._fetch(stage0, stats)
 
         # ---- stage 1: broadcast probes --------------------------------
         stage1: list[_Request] = []
@@ -340,32 +649,18 @@ class ServingExecutor(Executor):
                     ),
                 })
 
-        def xm_degraded(ctx) -> bool:
-            """Owner/probe fetch lost to a down shard: the query has no
-            anchor to score against, so it degrades to an empty result."""
-            at = ctx.get("enc_at", ctx.get("tqs_at"))
-            if at not in d0:
-                return False
-            query = ctx["query"]
-            memo[query] = DiscoveryResultSet(
-                [],
-                operation="crossModal_search",
-                inputs={
-                    "value": query.value,
-                    "representation": query.representation,
-                },
-            )
-            ctx["at"] = None
-            return True
-
         for ctx in xm_ctx:
             query = ctx["query"]
             self._count(stats, "cross_modal")
             column_k = max(query.top_n * 5, 10)
             ctx["column_k"] = column_k
-            if xm_degraded(ctx):
-                continue
-            if ctx["owner"] is not None:
+            if ctx.get("enc_at", ctx.get("tqs_at")) in d0:
+                # Owner/probe fetch lost to a down shard: the query has no
+                # anchor to score against, so it degrades to an empty
+                # result.
+                memo[query] = _xm_result(query, [])
+                ctx["at"] = None
+            elif ctx["owner"] is not None:
                 encoding = r0[ctx["enc_at"]]
                 ctx["at"] = broadcast(
                     "encoding_column_hits",
@@ -403,11 +698,12 @@ class ServingExecutor(Executor):
             self._count(stats, "unionable")
             ctx["sketches"] = r0[ctx["tsk_at"]]
             if not ctx["sketches"]:
-                memo[query] = DiscoveryResultSet(
-                    [], operation="unionable", inputs={"table": query.table}
-                )
+                memo[query] = _table_result("unionable", query, [])
                 ctx["at"] = None
                 continue
+            # Phase 1 — candidate scoring: per shard, per query column,
+            # the locally-complete top-k scored candidates (+ exact-mode
+            # caps).
             ctx["at"] = broadcast(
                 "union_phase1",
                 {"sketches": ctx["sketches"], "table": query.table},
@@ -426,7 +722,7 @@ class ServingExecutor(Executor):
                 lambda i: (gens[i],),
             )
 
-        r1, _, d1 = self._fetch(stage1, stats)
+        r1, d1 = self._fetch(stage1, stats)
 
         # keyword / cross-modal / joinable finish on stage-1 partials.
         for ctx in keyword_ctx:
@@ -451,14 +747,7 @@ class ServingExecutor(Executor):
                     dict(containment), dict(keyword), column_k
                 )
             tables = aggregate_to_tables(hits, self._table_of)
-            memo[query] = DiscoveryResultSet(
-                tables[: query.top_n],
-                operation="crossModal_search",
-                inputs={
-                    "value": query.value,
-                    "representation": query.representation,
-                },
-            )
+            memo[query] = _xm_result(query, tables[: query.top_n])
         per_column_k = JoinDiscovery.PER_COLUMN_K
         for ctx in join_ctx:
             query = ctx["query"]
@@ -470,10 +759,8 @@ class ServingExecutor(Executor):
                 )
                 JoinDiscovery.fold_best_pairs(best, merged, self._table_of)
             ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-            memo[query] = DiscoveryResultSet(
-                ranked[: query.top_n],
-                operation="joinable",
-                inputs={"table": query.table},
+            memo[query] = _table_result(
+                "joinable", query, ranked[: query.top_n]
             )
 
         # ---- stage 2: evidence-dependent follow-ups -------------------
@@ -484,7 +771,7 @@ class ServingExecutor(Executor):
             query = ctx["query"]
             phase1 = [r1[a] for a in ctx["at"]]
             sketches = ctx["sketches"]
-            candidate_k = self.backend.union_candidate_k
+            candidate_k = self.transport.union_candidate_k
             evidence: dict[str, float] = {}
             for sketch in sketches:
                 merged = _merge_topk(
@@ -494,6 +781,9 @@ class ServingExecutor(Executor):
                     if score > 0:
                         table = self._table_of(col_id)
                         evidence[table] = max(evidence.get(table, 0.0), score)
+            # Probe-score caps are only sound when every shard scored its
+            # full local column set (exact strategy); the global cap per
+            # query column is then the max of the per-shard maxima.
             cap_dicts = [caps for _, caps in phase1]
             row_caps = None
             if all(caps is not None for caps in cap_dicts):
@@ -501,11 +791,13 @@ class ServingExecutor(Executor):
                     sketch.de_id: max(caps[sketch.de_id] for caps in cap_dicts)
                     for sketch in sketches
                 }
+            # Phase 2 — alignment on the owning shards, each pruning
+            # against its local top-k floor (a superset of its global
+            # contribution). Shards holding no evidenced candidate
+            # contribute [] by construction; skip their round-trips.
             shard_evidence: list[dict[str, float]] = [{} for _ in shards]
             for table, ev in evidence.items():
                 shard_evidence[router.shard_of(table)][table] = ev
-            # Shards holding no evidenced candidate contribute [] by
-            # construction; skip their round-trips entirely.
             ctx["at2"] = {}
             for i in shards:
                 if not shard_evidence[i]:
@@ -534,7 +826,7 @@ class ServingExecutor(Executor):
                     i, "pkfk_links_for", {"entries": entries}, None, None,
                 ))
 
-        r2, _, d2 = self._fetch(stage2, stats)
+        r2, d2 = self._fetch(stage2, stats)
 
         for ctx in union_ctx:
             if ctx["at"] is None:
@@ -544,10 +836,8 @@ class ServingExecutor(Executor):
                 item for a in ctx["at2"].values() for item in r2[a]
             ]
             results.sort(key=lambda kv: (-kv[1], kv[0]))
-            memo[query] = DiscoveryResultSet(
-                results[: query.top_n],
-                operation="unionable",
-                inputs={"table": query.table},
+            memo[query] = _table_result(
+                "unionable", query, results[: query.top_n]
             )
 
         if need_links:
@@ -562,11 +852,7 @@ class ServingExecutor(Executor):
             self._count(stats, "pkfk")
             stats.pkfk_queries += 1
             ranked = index.tables_for(query.table)
-            memo[query] = DiscoveryResultSet(
-                ranked[: query.top_n],
-                operation="pkfk",
-                inputs={"table": query.table},
-            )
+            memo[query] = _table_result("pkfk", query, ranked[: query.top_n])
 
     @staticmethod
     def _count(stats: ExecutionStats, op: str) -> None:

@@ -244,6 +244,8 @@ class LakeSession:
 
     def add_documents(self, documents: list[Document]) -> None:
         """Add several documents with a single re-sync and invalidation."""
+        if not documents:
+            return
         with self._journal("add_documents", {"documents": list(documents)}):
             self.lake.add_documents(documents)
             self._resync_documents()

@@ -1,5 +1,5 @@
-"""Sharded lake architecture: partitioned fit, per-shard catalogs,
-scatter-gather SRQL execution.
+"""Sharded lake architecture: partitioned fit, per-shard catalogs, routed
+mutations; reads go through the one scatter-gather executor.
 
 Every earlier layer assumes one monolithic profile and one index catalog,
 so lake size is bounded by a single fit and a single index's memory and
@@ -16,11 +16,14 @@ arXiv:2204.11275):
   on a thread pool through the batched fit pipeline, routes every mutation
   to the owning shard (per-shard generation counters; mutations never
   re-sketch or re-index sibling shards), and exposes the same public
-  surface as a monolithic session;
-* :class:`ShardedExecutor` — the scatter-gather SRQL path: each planned
-  primitive fans out across shards and the per-shard top-k lists are
-  merged into the global top-k; DRS composition (``Intersect`` / ``Unite``
-  / ``Top`` / ``Then``) runs on the merged result sets.
+  surface as a monolithic session. For reads the session *is* the
+  in-process transport (:class:`~repro.core.scatter.DirectTransport`) of
+  :class:`~repro.core.scatter.ScatterGatherExecutor` — the executor a
+  :class:`~repro.serve.LakeServer` runs over thread- or process-hosted
+  shards: each planned primitive fans out across shards, the per-shard
+  top-k lists (cached by generation scope) are merged into the global
+  top-k, and DRS composition (``Intersect`` / ``Unite`` / ``Top`` /
+  ``Then``) runs on the merged result sets.
 
 **Exactness of the merge.** For every primitive the per-shard evaluation
 is *locally complete* — a shard's top-k list is the true top-k over its own
@@ -64,22 +67,23 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core.discovery import (
-    DiscoveryEngine,
-    DiscoveryResultSet,
-    aggregate_to_tables,
+from repro.core.discovery import DiscoveryEngine, DiscoveryResultSet
+from repro.core.result_cache import ResultCache
+from repro.core.scatter import (
+    DirectTransport,
+    MergedCatalog,
+    ScatterGatherExecutor,
+    ShardHost,
+    fan_out,
 )
-from repro.core.joinability import JoinDiscovery
-from repro.core.pkfk import PKFKLinkIndex
 from repro.core.session import LakeSession
-from repro.core.srql.executor import OP_ORDER, ExecutionStats, Executor
+from repro.core.srql.executor import ExecutionStats
 from repro.core.srql.planner import Planner
 from repro.core.system import CMDL, CMDLConfig
 from repro.relational.catalog import DataLake, Document
 from repro.search.engine import CorpusStatsGroup
 from repro.text.pipeline import DocumentPipeline
 from repro.utils.hashing import stable_hash_64
-from repro.utils.timing import Timer
 
 #: Keyword-engine families whose corpus statistics are merged across shards
 #: under ``global_stats=True`` (the four "elastic" indexes of the paper plus
@@ -92,19 +96,6 @@ STATS_FAMILIES = (
     "column_schema",
     "column_schema_ngrams",
 )
-
-
-def _merge_topk(ranked_lists, k: int) -> list[tuple[str, float]]:
-    """K-way merge of per-shard ``(id, score)`` lists into the global top-k.
-
-    Every input list is sorted by ``(-score, id)`` and locally complete
-    (the true top-k of its shard), and ids are disjoint across shards, so
-    sorting the concatenation and cutting at ``k`` is exactly the
-    monolithic top-k under the same ordering.
-    """
-    merged = [item for ranked in ranked_lists for item in ranked]
-    merged.sort(key=lambda kv: (-kv[1], kv[0]))
-    return merged[:k]
 
 
 class ShardRouter:
@@ -141,13 +132,17 @@ class ShardRouter:
             return pinned
         return int(stable_hash_64(f"shard-route-{self.seed}-{name}") % self.num_shards)
 
-    def assign(self, name: str, shard: int) -> None:
-        """Pin ``name`` to ``shard`` explicitly (wins over the hash route)."""
+    def check_shard(self, shard: int) -> None:
+        """Raise ``ValueError`` unless ``shard`` is a valid shard index."""
         if not isinstance(shard, int) or isinstance(shard, bool) \
                 or not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard must be in [0, {self.num_shards}), got {shard!r}"
             )
+
+    def assign(self, name: str, shard: int) -> None:
+        """Pin ``name`` to ``shard`` explicitly (wins over the hash route)."""
+        self.check_shard(shard)
         self.assignments[name] = shard
 
     def partition(self, lake: DataLake) -> list[DataLake]:
@@ -162,361 +157,7 @@ class ShardRouter:
         return sublakes
 
 
-class _MergedCatalog:
-    """Read-only profile façade over all shards.
-
-    Duck-types the parts of :class:`~repro.core.profiler.Profile` the SRQL
-    planner (validation, the "auto" heuristic) and the gather phase (column
-    -> table resolution) read: ``table_columns``, ``columns``,
-    ``documents``. Merged lazily and cached against the per-shard
-    generation vector, so any shard mutation invalidates the snapshot.
-    """
-
-    def __init__(self, shards: list[LakeSession]):
-        self._shards = shards
-        self._key: tuple[int, ...] | None = None
-        self._table_columns: dict[str, list[str]] = {}
-        self._columns: dict = {}
-        self._documents: dict = {}
-
-    def _sync(self) -> None:
-        key = tuple(shard.generation for shard in self._shards)
-        if key == self._key:
-            return
-        table_columns: dict[str, list[str]] = {}
-        columns: dict = {}
-        documents: dict = {}
-        for shard in self._shards:
-            table_columns.update(shard.profile.table_columns)
-            columns.update(shard.profile.columns)
-            documents.update(shard.profile.documents)
-        self._table_columns = table_columns
-        self._columns = columns
-        self._documents = documents
-        self._key = key
-
-    @property
-    def table_columns(self) -> dict[str, list[str]]:
-        self._sync()
-        return self._table_columns
-
-    @property
-    def columns(self) -> dict:
-        self._sync()
-        return self._columns
-
-    @property
-    def documents(self) -> dict:
-        self._sync()
-        return self._documents
-
-    def columns_of_table(self, table_name: str) -> list[str]:
-        return self.table_columns.get(table_name, [])
-
-    @property
-    def num_des(self) -> int:
-        return len(self.documents) + len(self.columns)
-
-
-class ShardedExecutor(Executor):
-    """Scatter-gather execution of SRQL plans over a sharded session.
-
-    Reuses the monolithic :class:`~repro.core.srql.executor.Executor`'s
-    composition, memoisation and grouping machinery; only primitive
-    evaluation is overridden to fan out across shards and merge. Physical
-    strategy is resolved *per shard*: plan-node annotations (made against
-    the merged catalog) are ignored and each shard's engine re-resolves the
-    configured choice against its own shard-local size — the "auto"
-    heuristic sees the shard, not the lake.
-
-    :class:`~repro.core.srql.executor.ExecutionStats` gains the sharded
-    diagnostics: ``shard_generations`` (the per-shard generation vector the
-    batch executed under) and ``shard_seconds`` (wall-clock inside each
-    shard's scatter calls — the straggler signal).
-    """
-
-    def __init__(self, session: "ShardedLakeSession", planner: Planner):
-        self.session = session
-        self.planner = planner
-        self.last_stats: ExecutionStats = ExecutionStats()
-        #: (generation vector, merged link index) of the last lake-wide
-        #: PK-FK sweep; any shard mutation changes the vector and
-        #: invalidates it.
-        self._links_cache: tuple[tuple[int, ...], PKFKLinkIndex] | None = None
-
-    # ------------------------------------------------------------- public
-
-    def execute_batch(self, plans) -> list[DiscoveryResultSet]:
-        """Evaluate a workload: memoised, operator-grouped, scatter-gather."""
-        session = self.session
-        stats = ExecutionStats(
-            generation=session.generation,
-            shard_generations={
-                i: shard.generation for i, shard in enumerate(session.shards)
-            },
-        )
-        memo: dict = {}
-        groups: dict[str, dict] = {op: {} for op in OP_ORDER}
-        for plan in plans:
-            for node in plan.nodes():
-                if node.op in groups:
-                    groups[node.op].setdefault(node.query, node)
-        if groups["pkfk"]:
-            # Amortise the lake-wide sweep: one scatter feeds every pkfk
-            # query in the batch (and later batches, until a mutation).
-            self._pkfk_index(stats)
-        for op in OP_ORDER:
-            for query, node in groups[op].items():
-                if query not in memo:
-                    memo[query] = self._run_primitive(node, stats)
-        results = [self._eval(plan.root, memo, stats) for plan in plans]
-        self.last_stats = stats
-        return results
-
-    # -------------------------------------------------------- primitives
-
-    def _run_primitive(self, node, stats: ExecutionStats) -> DiscoveryResultSet:
-        query = node.query
-        stats.executed += 1
-        stats.by_op[node.op] += 1
-        if node.op == "content_search":
-            return self._keyword(stats, "content_search", query)
-        if node.op == "metadata_search":
-            return self._keyword(stats, "metadata_search", query)
-        if node.op == "cross_modal":
-            return self._cross_modal(stats, query)
-        if node.op == "joinable":
-            return self._joinable(stats, query)
-        if node.op == "unionable":
-            return self._unionable(stats, query)
-        if node.op == "pkfk":
-            stats.pkfk_queries += 1
-            return self._pkfk(stats, query)
-        raise ValueError(f"unknown primitive op {node.op!r}")  # pragma: no cover
-
-    @property
-    def catalog(self) -> _MergedCatalog:
-        return self.session.catalog
-
-    def _scatter(self, stats, fn):
-        return self.session.scatter(fn, stats=stats)
-
-    def _table_of(self, column_id: str) -> str:
-        return self.catalog.columns[column_id].table_name
-
-    # keyword search ---------------------------------------------------
-
-    def _keyword(self, stats, op: str, query) -> DiscoveryResultSet:
-        hit_lists = self._scatter(
-            stats,
-            lambda i, shard: getattr(shard.engine, op)(
-                query.value, mode=query.mode, k=query.k
-            ).items,
-        )
-        return DiscoveryResultSet(
-            _merge_topk(hit_lists, query.k),
-            operation=op,
-            inputs={"value": query.value, "mode": query.mode},
-        )
-
-    # cross-modal ------------------------------------------------------
-
-    def _cross_modal(self, stats, query) -> DiscoveryResultSet:
-        column_k = max(query.top_n * 5, 10)
-        owner = next(
-            (
-                shard for shard in self.session.shards
-                if query.value in shard.profile.documents
-            ),
-            None,
-        )
-        if owner is not None:
-            if query.representation == "joint":
-                raise RuntimeError(
-                    "cross_modal(representation='joint') is not supported on "
-                    "sharded sessions: each shard trains its own joint model "
-                    "and the per-shard embedding spaces are not comparable; "
-                    "query with representation='solo' or use a monolithic "
-                    "session"
-                )
-            encoding = owner.profile.documents[query.value].encoding
-            hit_lists = self._scatter(
-                stats,
-                lambda i, shard: shard.engine.encoding_column_hits(
-                    encoding, column_k
-                ),
-            )
-            hits = _merge_topk(hit_lists, column_k)
-        else:
-            probe = next(
-                (
-                    shard for shard in self.session.shards
-                    if shard.profile.num_des
-                ),
-                None,
-            )
-            if probe is None:
-                raise ValueError(
-                    "cannot build a free-text query sketch over an empty "
-                    "profile (no documents and no columns to borrow "
-                    "hash-family settings from)"
-                )
-            # One query sketch for all shards: signatures are hash-family
-            # compatible because every shard fits with the same seed/hashes.
-            sketch = probe.engine.text_query_sketch(query.value)
-            parts = self._scatter(
-                stats,
-                lambda i, shard: shard.engine.text_column_parts(sketch, column_k),
-            )
-            containment = _merge_topk([p[0] for p in parts], column_k)
-            keyword = _merge_topk([p[1] for p in parts], column_k)
-            hits = DiscoveryEngine.merge_text_column_parts(
-                dict(containment), dict(keyword), column_k
-            )
-        tables = aggregate_to_tables(hits, self._table_of)
-        return DiscoveryResultSet(
-            tables[: query.top_n],
-            operation="crossModal_search",
-            inputs={"value": query.value, "representation": query.representation},
-        )
-
-    # joinable ---------------------------------------------------------
-
-    def _query_sketches(self, table_name: str) -> list:
-        owner = self.session.shards[self.session.router.shard_of(table_name)]
-        return [
-            owner.profile.columns[cid]
-            for cid in owner.profile.columns_of_table(table_name)
-        ]
-
-    def _joinable(self, stats, query) -> DiscoveryResultSet:
-        sketches = [
-            s for s in self._query_sketches(query.table)
-            if s.tags is not None and s.tags.join_discovery
-        ]
-        per_column_k = JoinDiscovery.PER_COLUMN_K
-        hits_by_shard = self._scatter(
-            stats,
-            lambda i, shard: {
-                sketch.de_id: shard.engine.scorer("joinable")
-                .joinable_columns_for(sketch, k=per_column_k)
-                for sketch in sketches
-            },
-        )
-        best: dict[str, float] = {}
-        for sketch in sketches:
-            merged = _merge_topk(
-                [hits[sketch.de_id] for hits in hits_by_shard], per_column_k
-            )
-            JoinDiscovery.fold_best_pairs(best, merged, self._table_of)
-        ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-        return DiscoveryResultSet(
-            ranked[: query.top_n],
-            operation="joinable",
-            inputs={"table": query.table},
-        )
-
-    # unionable --------------------------------------------------------
-
-    def _unionable(self, stats, query) -> DiscoveryResultSet:
-        sketches = self._query_sketches(query.table)
-        inputs = {"table": query.table}
-        if not sketches:
-            return DiscoveryResultSet([], operation="unionable", inputs=inputs)
-        # Per-shard pair-score memo shared by both phases: each (query
-        # column, candidate) ensemble is computed at most once per query.
-        caches = [dict() for _ in self.session.shards]
-
-        # Phase 1 — candidate scoring: per shard, per query column, the
-        # locally-complete top-k scored candidates (+ exact-mode caps).
-        phase1 = self._scatter(
-            stats,
-            lambda i, shard: shard.engine.scorer("unionable").candidate_hits_for(
-                sketches, pair_cache=caches[i]
-            ),
-        )
-        candidate_k = self.session.shards[0].engine.scorer("unionable").candidate_k
-        evidence: dict[str, float] = {}
-        for sketch in sketches:
-            merged = _merge_topk(
-                [hits[sketch.de_id] for hits, _ in phase1], candidate_k
-            )
-            for col_id, score in merged:
-                if score > 0:
-                    table = self._table_of(col_id)
-                    evidence[table] = max(evidence.get(table, 0.0), score)
-
-        # Probe-score caps are only sound when every shard scored its full
-        # local column set (exact strategy); the global cap per query
-        # column is then the max of the per-shard maxima.
-        cap_dicts = [caps for _, caps in phase1]
-        row_caps = None
-        if all(caps is not None for caps in cap_dicts):
-            row_caps = {
-                sketch.de_id: max(caps[sketch.de_id] for caps in cap_dicts)
-                for sketch in sketches
-            }
-
-        # Phase 2 — alignment on the owning shards, each pruning against
-        # its local top-k floor (a superset of its global contribution).
-        shard_evidence: list[dict[str, float]] = [
-            {} for _ in self.session.shards
-        ]
-        for table, ev in evidence.items():
-            shard_evidence[self.session.router.shard_of(table)][table] = ev
-        phase2 = self._scatter(
-            stats,
-            lambda i, shard: shard.engine.scorer("unionable").alignment_scores_for(
-                sketches, shard_evidence[i], query.top_n,
-                row_caps=row_caps, pair_cache=caches[i],
-            ),
-        )
-        results = [item for shard_results in phase2 for item in shard_results]
-        results.sort(key=lambda kv: (-kv[1], kv[0]))
-        return DiscoveryResultSet(
-            results[: query.top_n], operation="unionable", inputs=inputs
-        )
-
-    # pkfk -------------------------------------------------------------
-
-    def _pkfk_index(self, stats: ExecutionStats) -> PKFKLinkIndex:
-        """The lake-wide PK-FK sweep: gather PKs, broadcast, merge links.
-
-        Candidate-PK status is a per-column property, so every shard
-        contributes its local PKs; the lake-wide PK set is then broadcast
-        and every shard checks it against its *local* FK columns — each
-        (PK, FK) pair is examined exactly once, by the shard owning the FK.
-        Cached against the generation vector (per-shard sweeps additionally
-        reuse their own engine caches between batches).
-        """
-        key = tuple(shard.generation for shard in self.session.shards)
-        if self._links_cache is None or self._links_cache[0] != key:
-            entry_lists = self._scatter(
-                stats,
-                lambda i, shard: shard.engine.scorer("pkfk").candidate_pk_entries(),
-            )
-            entries = sorted(
-                (entry for entry_list in entry_lists for entry in entry_list),
-                key=lambda entry: entry[0].de_id,
-            )
-            link_lists = self._scatter(
-                stats,
-                lambda i, shard: shard.engine.scorer("pkfk").links_for(entries),
-            )
-            self._links_cache = (
-                key, PKFKLinkIndex.merged(link_lists, self._table_of)
-            )
-            stats.pkfk_sweeps += 1
-        return self._links_cache[1]
-
-    def _pkfk(self, stats, query) -> DiscoveryResultSet:
-        ranked = self._pkfk_index(stats).tables_for(query.table)
-        return DiscoveryResultSet(
-            ranked[: query.top_n], operation="pkfk", inputs={"table": query.table}
-        )
-
-
-class ShardedLakeSession:
+class ShardedLakeSession(DirectTransport):
     """N independently-fitted lake shards behind one session surface.
 
     Obtained from ``CMDL.open(lake, shards=N)`` / ``repro.open_lake(lake,
@@ -528,7 +169,8 @@ class ShardedLakeSession:
     (``discover`` / ``discover_batch``) scatter each planned primitive
     across shards and merge per-shard top-k lists into the global top-k
     (see the module docs for the exactness argument and the
-    ``global_stats`` corpus-statistics trade-off).
+    ``global_stats`` corpus-statistics trade-off), reusing cached
+    per-shard partials whose generation scope is unchanged.
     """
 
     def __init__(
@@ -593,13 +235,7 @@ class ShardedLakeSession:
         except BaseException:
             self.close()  # a failed construction must not leak the pool
             raise
-        self._stats_groups: dict[str, CorpusStatsGroup] = {}
-        self._wired_indexes: list = []
-        if global_stats:
-            self._wire_stats_groups()
-        self.catalog = _MergedCatalog(self.shards)
-        self._planner: Planner | None = None
-        self._executor: ShardedExecutor | None = None
+        self._host_shards()
 
     @classmethod
     def _restore(
@@ -634,15 +270,25 @@ class ShardedLakeSession:
         )
         session._df_pipeline = df_pipeline
         session.shards = shards
-        session._stats_groups = {}
-        session._wired_indexes = []
-        if global_stats:
-            session._wire_stats_groups()
-        session.catalog = _MergedCatalog(session.shards)
-        session._planner = None
-        session._executor = None
         session._store = None
+        session._host_shards()
         return session
+
+    def _host_shards(self) -> None:
+        """Wire the fitted (or restored) shards into one lake: merged
+        corpus statistics, and the read path's hosts, catalog and cache."""
+        self._stats_groups: dict[str, CorpusStatsGroup] = {}
+        self._wired_indexes: list = []
+        if self.global_stats:
+            self._wire_stats_groups()
+        self.hosts = [ShardHost(shard) for shard in self.shards]
+        self.catalog = MergedCatalog(self.hosts)
+        #: Per-shard partials and the merged PK-FK link index, keyed by
+        #: generation scope — the retention rule a LakeServer applies.
+        self._cache = ResultCache()
+        self._planner: Planner | None = None
+        #: Stats of the most recent discover / discover_batch call.
+        self.last_batch_stats: ExecutionStats | None = None
 
     # ------------------------------------------------------------ fitting
 
@@ -655,9 +301,7 @@ class ShardedLakeSession:
                 auto_refresh_threshold=self.auto_refresh_threshold,
             )
 
-        if self._pool is not None:
-            return list(self._pool.map(build, range(len(sublakes))))
-        return [build(i) for i in range(len(sublakes))]
+        return fan_out(self._pool, build, range(len(sublakes)))
 
     def _shard_config(self) -> CMDLConfig:
         cfg = replace(self.config)
@@ -707,7 +351,7 @@ class ShardedLakeSession:
     # ------------------------------------------------------------- access
 
     @property
-    def profile(self) -> _MergedCatalog:
+    def profile(self) -> MergedCatalog:
         """Merged, read-only profile view across shards (planner surface)."""
         return self.catalog
 
@@ -752,55 +396,29 @@ class ShardedLakeSession:
 
     # ------------------------------------------------------------ queries
 
-    def _runtime(self) -> tuple[Planner, ShardedExecutor]:
-        if self._executor is None:
+    def discover(self, query) -> DiscoveryResultSet:
+        """Run one SRQL query, scatter-gathered across all shards."""
+        return self.discover_batch([query])[0]
+
+    def discover_batch(self, queries) -> list[DiscoveryResultSet]:
+        """Run an SRQL workload with batch amortisation across shards: at
+        most three batched round-trips per shard per operator group."""
+        if self._planner is None:
             self._planner = Planner(
                 self.catalog,
                 default_strategy=self.config.discovery_strategy,
                 operator_strategies=self.config.operator_strategies,
             )
-            self._executor = ShardedExecutor(self, self._planner)
-        return self._planner, self._executor
-
-    def discover(self, query) -> DiscoveryResultSet:
-        """Run one SRQL query, scatter-gathered across all shards."""
-        planner, executor = self._runtime()
-        return executor.execute(planner.plan(DiscoveryEngine._to_ast(query)))
-
-    def discover_batch(self, queries) -> list[DiscoveryResultSet]:
-        """Run an SRQL workload with batch amortisation across shards."""
-        planner, executor = self._runtime()
-        plans = planner.plan_batch(
+        executor = ScatterGatherExecutor(
+            self, self._planner, self.generations,
+            cache=self._cache, pool=self._pool,
+        )
+        plans = self._planner.plan_batch(
             [DiscoveryEngine._to_ast(q) for q in queries]
         )
-        return executor.execute_batch(plans)
-
-    @property
-    def last_batch_stats(self) -> ExecutionStats | None:
-        """Stats of the most recent discover / discover_batch call."""
-        return self._executor.last_stats if self._executor else None
-
-    def scatter(self, fn, stats: ExecutionStats | None = None) -> list:
-        """Run ``fn(shard_index, shard)`` on every shard; results in shard
-        order. Uses the session thread pool when one exists; per-shard wall
-        time is accumulated into ``stats.shard_seconds`` when given."""
-
-        def run(i: int):
-            with Timer() as timer:
-                result = fn(i, self.shards[i])
-            return result, timer.elapsed
-
-        if self._pool is not None:
-            outcomes = list(self._pool.map(run, range(len(self.shards))))
-        else:
-            outcomes = [run(i) for i in range(len(self.shards))]
-        if stats is not None:
-            for i, (_, seconds) in enumerate(outcomes):
-                stats.shard_seconds[i] = stats.shard_seconds.get(i, 0.0) + seconds
-                stats.shard_round_trips[i] = (
-                    stats.shard_round_trips.get(i, 0) + 1
-                )
-        return [result for result, _ in outcomes]
+        results = executor.execute_batch(plans)
+        self.last_batch_stats = executor.last_stats
+        return results
 
     # ----------------------------------------------------------- mutators
 
@@ -834,6 +452,8 @@ class ShardedLakeSession:
 
     def add_documents(self, documents: list[Document]) -> None:
         """Add several documents, each routed to its owning shard."""
+        if not documents:
+            return
         with self._journal("add_documents", {"documents": list(documents)}):
             by_owner: dict[int, list[Document]] = {}
             for document in documents:
@@ -882,13 +502,21 @@ class ShardedLakeSession:
         :meth:`update_table` — follows the entry to its new home. Returns
         the number of entries actually moved (already-home assignments are
         recorded but move nothing). The corpus is unchanged, so the
-        global-stats df filter needs no re-sync.
+        global-stats df filter needs no re-sync. Every name and target is
+        validated before the first move: a bad assignment changes nothing.
         """
         with self._journal("rebalance", {"assignments": dict(assignments)}):
+            for name, target in assignments.items():
+                lake = self.shards[self.router.shard_of(name)].lake
+                if not (lake.has_table(name) or lake.has_document(name)):
+                    raise KeyError(
+                        f"lake {self.name!r} has no table or document {name!r}"
+                    )
+                self.router.check_shard(target)
             moves = 0
             for name, target in assignments.items():
                 current = self.router.shard_of(name)
-                self.router.assign(name, target)  # validates the target index
+                self.router.assign(name, target)
                 if current == target:
                     continue
                 source = self.shards[current]
@@ -897,14 +525,10 @@ class ShardedLakeSession:
                     table = source.lake.table(name)
                     source.remove(name)
                     destination.add_table(table)
-                elif source.lake.has_document(name):
+                else:
                     document = source.lake.document(name)
                     source.remove(name)
                     destination.add_document(document)
-                else:
-                    raise KeyError(
-                        f"lake {self.name!r} has no table or document {name!r}"
-                    )
                 moves += 1
             self._ensure_stats_wiring()
         return moves
@@ -922,15 +546,12 @@ class ShardedLakeSession:
             if gold_pairs is not None:
                 self.gold_pairs = gold_pairs
                 for shard in self.shards:
-                    shard.gold_pairs = self._filter_gold_lake(shard.lake)
+                    shard.gold_pairs = self._filter_gold(shard.lake)
             if self.global_stats:
                 self._sync_document_filter()
-            self.scatter(lambda i, shard: shard.refresh())
+            fan_out(self._pool, LakeSession.refresh, self.shards)
             if self.global_stats:
                 self._wire_stats_groups()
-
-    def _filter_gold_lake(self, sublake: DataLake):
-        return self._filter_gold(sublake)
 
     # -------------------------------------------------------- persistence
 

@@ -75,13 +75,13 @@ class ExecutionStats:
     #: straggler diagnostic that attributes a slow batch to the shard (or
     #: remote worker) that stalled it.
     shard_seconds: dict = field(default_factory=dict)
-    #: Round-trips issued to each shard during this batch. The in-process
-    #: scatter path counts one trip per scattered primitive; the serving
-    #: executor batches a whole operator group per trip, so this is how
-    #: the two are compared fairly.
+    #: Batched round-trips issued to each shard during this batch: the
+    #: scatter-gather executor ships a whole operator group per trip (at
+    #: most three per shard per group), and a shard whose partials all
+    #: came from the result cache is not visited at all.
     shard_round_trips: dict = field(default_factory=dict)
-    #: Result-cache hits/misses of this batch (serving front-ends with a
-    #: cache enabled only; both stay 0 elsewhere).
+    #: Result-cache hits/misses of this batch (sharded sessions, and
+    #: serving front-ends with the cache enabled; both stay 0 elsewhere).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Shards whose partials are missing from this batch's results

@@ -1,26 +1,32 @@
 """Serving layer: shard workers behind a concurrent discovery front-end.
 
-The sharded session (PR 5) scatter-gathers inside one process, so every
-query and every mutation still share one GIL and one address space. This
+The sharded session scatter-gathers inside one process, so every query
+and every mutation still share one GIL and one address space. This
 package splits the two roles the way HTAP designs isolate update
-propagation from analytics (Polynesia, arXiv:2103.00798):
+propagation from analytics (Polynesia, arXiv:2103.00798) — by layering
+isolation (lock, RPC, supervision, retry) *around* the one analytics path,
+not by forking it: reads run
+:class:`~repro.core.scatter.ScatterGatherExecutor`, the executor the
+in-process session runs, and the backends here are its transports.
 
 * :mod:`repro.serve.rpc` — length-prefixed socket framing that ships
   sketches and per-shard top-k lists with the :mod:`repro.store.codec`
   slab encoding (numpy arrays travel as raw typed segments, not pickle
   bytes);
-* :mod:`repro.serve.ops` — the per-shard operation table. One dispatch
-  serves both backends: the thread backend calls it on in-process shard
-  sessions, the worker process calls it on its restored shard;
+* :mod:`repro.serve.ops` — the worker-side half of the shard-op table
+  (planning views, corpus-statistics exchange, routed mutations, crash
+  reconciliation) on top of the read ops every transport shares
+  (:data:`repro.core.scatter.READ_OPS`);
 * :mod:`repro.serve.worker` — one process per shard, booted from the
   shard's own ``shard-NNNN.sqlite`` (reopen, never refit), plus the
   parent-side handle that spawns, calls, and reaps it;
 * :mod:`repro.serve.cache` — the per-shard result cache keyed by
-  ``(plan node, generation scope)``;
-* :mod:`repro.serve.executor` — batched scatter: one round-trip per shard
-  ships a whole operator group, partial results flow through the cache;
+  ``(plan node, generation scope)`` (re-exported from
+  :mod:`repro.core.result_cache`);
 * :mod:`repro.serve.server` — :class:`LakeServer`: generation-pinned
-  snapshot reads, a single writer path per shard, ``session.serve()``;
+  snapshot reads, a single writer path per shard, ``session.serve()``,
+  and the two transports — ``ThreadBackend`` (the live session's own
+  hosts) and ``ProcessBackend`` (supervised workers);
 * :mod:`repro.serve.faults` — deterministic fault injection for the
   recovery tests and ``benchmarks/bench_faults.py``.
 

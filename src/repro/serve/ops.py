@@ -1,13 +1,11 @@
-"""Per-shard serving operations: one dispatch table for both backends.
+"""Worker-side shard operations: state reads, corpus statistics, mutations.
 
-Every entry is a pure function of ``(host, payload)`` where ``host`` wraps
-one live :class:`~repro.core.session.LakeSession` (an in-process shard for
-the thread backend, a catalog-restored shard inside a worker process for
-the process backend). Keeping a single table is what makes the two
-backends byte-identical: the thread backend calls :meth:`ShardHost.handle`
-directly, the worker process calls it at the far end of the RPC pipe, and
-both run exactly the scatter units the in-process
-:class:`~repro.core.sharding.ShardedExecutor` runs.
+:data:`OPS` is the full dispatch table a worker process serves: the read
+ops every transport shares (:data:`repro.core.scatter.READ_OPS`, run on
+the same :class:`~repro.core.scatter.ShardHost` an in-process shard uses)
+plus the operations only a process-hosted shard needs — the planning view
+the front-end keeps of it, its half of a routed mutation, and crash
+reconciliation. Every entry is a pure function of ``(host, payload)``.
 
 The remote-statistics ops implement global-stats mode over processes: the
 front-end gathers each shard's keyword-index statistics
@@ -21,12 +19,11 @@ front-end re-pushes sibling snapshots after each committed mutation.
 from __future__ import annotations
 
 from collections import Counter
-from threading import Lock
 
-from repro.core.joinability import JoinDiscovery
-from repro.core.session import LakeSession
+from repro.core.scatter import READ_OPS, ShardHost
 from repro.core.sharding import STATS_FAMILIES
 from repro.search.engine import CorpusStatsGroup
+
 
 class ColumnLite:
     """The planner-facing slice of a column sketch: enough for validation,
@@ -51,34 +48,6 @@ class ColumnLite:
 
     def __repr__(self) -> str:
         return f"ColumnLite({self.table_name!r}, {self.tags!r})"
-
-#: Scratch entries (union pair caches) kept per shard before the oldest
-#: are dropped.
-_SCRATCH_LIMIT = 8
-
-
-class ShardHost:
-    """One shard session plus the serving scratch state around it."""
-
-    def __init__(self, session: LakeSession):
-        self.session = session
-        #: Transient per-query state (union pair caches shared between the
-        #: two alignment phases), keyed by (tag, table, generation).
-        self.scratch: dict = {}
-        #: Serialises ops on this shard: engine caches are not re-entrant.
-        self.lock = Lock()
-
-    def handle(self, op: str, payload: dict):
-        try:
-            fn = OPS[op]
-        except KeyError:
-            raise ValueError(f"unknown shard op {op!r}") from None
-        return fn(self, payload)
-
-    def _scratch_put(self, key, value) -> None:
-        self.scratch[key] = value
-        while len(self.scratch) > _SCRATCH_LIMIT:
-            self.scratch.pop(next(iter(self.scratch)))
 
 
 # ------------------------------------------------------------ remote stats
@@ -140,10 +109,6 @@ def _install_stats(host: ShardHost, payload: dict) -> None:
 # -------------------------------------------------------------- state reads
 
 
-def _generation(host: ShardHost, payload: dict) -> int:
-    return host.session.generation
-
-
 def _catalog_lite(host: ShardHost, payload: dict) -> dict:
     """The front-end's planning view of this shard."""
     session = host.session
@@ -159,7 +124,6 @@ def _catalog_lite(host: ShardHost, payload: dict) -> dict:
             for cid, sketch in profile.columns.items()
         },
         "documents": list(profile.documents),
-        "num_des": profile.num_des,
         "discovery_strategy": config.discovery_strategy,
         "operator_strategies": dict(config.operator_strategies or {}),
         "union_candidate_k": session.engine.scorer("unionable").candidate_k,
@@ -172,88 +136,6 @@ def _doc_texts(host: ShardHost, payload: dict) -> list[tuple[str, str]]:
 
 def _get_table(host: ShardHost, payload: dict):
     return host.session.lake.table(payload["name"])
-
-
-def _document_encoding(host: ShardHost, payload: dict):
-    return host.session.profile.documents[payload["doc_id"]].encoding
-
-
-def _table_sketches(host: ShardHost, payload: dict) -> list:
-    profile = host.session.profile
-    return [
-        profile.columns[cid]
-        for cid in profile.columns_of_table(payload["table"])
-    ]
-
-
-# --------------------------------------------------------------- query ops
-
-
-def _keyword(host: ShardHost, payload: dict) -> list:
-    result = getattr(host.session.engine, payload["op"])(
-        payload["value"], mode=payload["mode"], k=payload["k"]
-    )
-    return result.items
-
-
-def _text_query_sketch(host: ShardHost, payload: dict):
-    return host.session.engine.text_query_sketch(payload["value"])
-
-
-def _text_column_parts(host: ShardHost, payload: dict) -> tuple:
-    return host.session.engine.text_column_parts(
-        payload["sketch"], payload["k"]
-    )
-
-
-def _encoding_column_hits(host: ShardHost, payload: dict) -> list:
-    return host.session.engine.encoding_column_hits(
-        payload["encoding"], payload["k"]
-    )
-
-
-def _joinable_columns_for(host: ShardHost, payload: dict) -> dict:
-    scorer = host.session.engine.scorer("joinable")
-    k = payload.get("k", JoinDiscovery.PER_COLUMN_K)
-    return {
-        sketch.de_id: scorer.joinable_columns_for(sketch, k=k)
-        for sketch in payload["sketches"]
-    }
-
-
-def _union_phase1(host: ShardHost, payload: dict) -> tuple:
-    """Candidate scoring; parks the pair cache for this query's phase 2."""
-    pair_cache: dict = {}
-    hits, caps = host.session.engine.scorer("unionable").candidate_hits_for(
-        payload["sketches"], pair_cache=pair_cache
-    )
-    host._scratch_put(
-        ("union", payload["table"], host.session.generation), pair_cache
-    )
-    return hits, caps
-
-
-def _union_phase2(host: ShardHost, payload: dict) -> list:
-    pair_cache = host.scratch.pop(
-        ("union", payload["table"], host.session.generation), None
-    )
-    if pair_cache is None:
-        pair_cache = {}
-    return host.session.engine.scorer("unionable").alignment_scores_for(
-        payload["sketches"],
-        payload["evidence"],
-        payload["top_n"],
-        row_caps=payload["row_caps"],
-        pair_cache=pair_cache,
-    )
-
-
-def _pk_entries(host: ShardHost, payload: dict) -> list:
-    return host.session.engine.scorer("pkfk").candidate_pk_entries()
-
-
-def _pkfk_links_for(host: ShardHost, payload: dict) -> list:
-    return host.session.engine.scorer("pkfk").links_for(payload["entries"])
 
 
 # ------------------------------------------------------------ mutation ops
@@ -325,23 +207,12 @@ def _resync_documents(host: ShardHost, payload: dict) -> dict:
 
 
 OPS = {
+    **READ_OPS,
     "stats_snapshot": _stats_snapshot,
     "install_stats": _install_stats,
-    "generation": _generation,
     "catalog_lite": _catalog_lite,
     "doc_texts": _doc_texts,
     "get_table": _get_table,
-    "document_encoding": _document_encoding,
-    "table_sketches": _table_sketches,
-    "keyword": _keyword,
-    "text_query_sketch": _text_query_sketch,
-    "text_column_parts": _text_column_parts,
-    "encoding_column_hits": _encoding_column_hits,
-    "joinable_columns_for": _joinable_columns_for,
-    "union_phase1": _union_phase1,
-    "union_phase2": _union_phase2,
-    "pk_entries": _pk_entries,
-    "pkfk_links_for": _pkfk_links_for,
     "add_table": _add_table,
     "update_table": _update_table,
     "add_documents": _add_documents,

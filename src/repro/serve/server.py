@@ -17,7 +17,9 @@ propagation from analytics (Polynesia, arXiv:2103.00798):
 * **the plan-level result cache** — per-shard partials keyed by
   ``(plan node, generation scope)``; see :mod:`repro.serve.cache`.
 
-Two shard backends share the executor and the ops table:
+Two shard backends are the transports of the one scatter-gather executor
+(:mod:`repro.core.scatter`), which they share with the in-process
+sharded session:
 
 * ``backend="thread"`` wraps a *live* session (monolithic or sharded)
   in-process — no serialisation cost, but every shard still shares the
@@ -40,13 +42,17 @@ from pathlib import Path
 from threading import Condition, Lock
 
 from repro.core.discovery import DiscoveryEngine, DiscoveryResultSet
+from repro.core.scatter import (
+    DirectTransport,
+    MergedCatalog,
+    ScatterGatherExecutor,
+    ShardHost,
+)
 from repro.core.session import LakeSession
 from repro.core.sharding import STATS_FAMILIES, ShardedLakeSession, ShardRouter
 from repro.core.srql.executor import ExecutionStats
 from repro.core.srql.planner import Planner
-from repro.serve.cache import ResultCache
-from repro.serve.executor import ServingExecutor
-from repro.serve.ops import ShardHost
+from repro.serve.cache import DEFAULT_ENTRIES, ResultCache
 from repro.serve.rpc import (
     FrameCorrupt,
     RemoteShardError,
@@ -116,60 +122,41 @@ class _RWLock:
 _WORKER_DOWN = (WorkerCrashed, WorkerTimeout, FrameCorrupt)
 
 
-class ThreadBackend:
+class ThreadBackend(DirectTransport):
     """Shards served from a live session in the caller's process.
 
-    In-process shards cannot crash independently of the caller, so the
-    supervision surface is vestigial here: the counters stay zero and
-    ``pinned_gen`` never mismatches (generations only move under the
-    server's write lock).
+    A sharded session's own hosts and catalog are served in place (the
+    server and the session read through the same :class:`ShardHost`
+    objects); a monolithic session is hosted as one shard. There is
+    nothing to supervise: in-process shards cannot crash independently
+    of the caller.
     """
 
     supervisor = None
-    total_retries = 0
-    total_respawns = 0
 
     def __init__(self, session, owned: bool = False):
         self.session = session
         self.owned = owned
         if isinstance(session, ShardedLakeSession):
-            self.sharded = True
             self.router = session.router
             self.global_stats = session.global_stats
+            self.hosts = session.hosts
             self.catalog = session.catalog
             self.name = session.name
-            self._shard_sessions = session.shards
+            config = session.config
         else:
-            self.sharded = False
             self.router = ShardRouter(1)
             self.global_stats = True  # one shard: stats are the corpus
-            self.catalog = session.profile
+            self.hosts = [ShardHost(session)]
+            self.catalog = MergedCatalog(self.hosts)
             self.name = session.lake.name
-            self._shard_sessions = [session]
-        self.num_shards = len(self._shard_sessions)
-        self.hosts = [ShardHost(s) for s in self._shard_sessions]
-        config = (
-            session.config if self.sharded else session.cmdl.config
-        )
+            config = session.cmdl.config
+        self.num_shards = len(self.hosts)
         self.default_strategy = config.discovery_strategy
         self.operator_strategies = config.operator_strategies
-        self.union_candidate_k = (
-            self._shard_sessions[0].engine.scorer("unionable").candidate_k
-        )
 
     def generations(self) -> dict[int, int]:
-        return {i: s.generation for i, s in enumerate(self._shard_sessions)}
-
-    def shard_documents(self, shard: int):
-        return self._shard_sessions[shard].profile.documents
-
-    def shard_num_des(self, shard: int) -> int:
-        return self._shard_sessions[shard].profile.num_des
-
-    def round_trip(self, shard: int, ops: list, pinned_gen: int | None = None) -> list:
-        host = self.hosts[shard]
-        with host.lock:
-            return [host.handle(op, payload or {}) for op, payload in ops]
+        return {i: host.generation for i, host in enumerate(self.hosts)}
 
     def apply(self, op: str, payload: dict) -> None:
         """Mutations delegate to the wrapped session's own mutators: the
@@ -199,7 +186,8 @@ class ThreadBackend:
 
 
 class _ShardView:
-    """Front-end copy of one worker's planning catalog (lite)."""
+    """Front-end copy of one worker's planning catalog (lite): the shard
+    view :class:`~repro.core.scatter.MergedCatalog` merges."""
 
     def __init__(self, lite: dict):
         self.update(lite)
@@ -208,64 +196,7 @@ class _ShardView:
         self.generation = lite["generation"]
         self.table_columns = lite["table_columns"]
         self.columns = lite["columns"]
-        self.documents = set(lite["documents"])
-        self.num_des = lite["num_des"]
-
-
-class _FrontCatalog:
-    """Merged planner-facing profile over the per-shard views.
-
-    Duck-types what :class:`~repro.core.srql.planner.Planner` and the
-    gather phase read (``table_columns`` / ``columns`` / ``documents`` /
-    ``columns_of_table`` / ``num_des``), merged lazily and cached against
-    the generation vector — the process-backend analogue of
-    :class:`~repro.core.sharding._MergedCatalog`.
-    """
-
-    def __init__(self, views: list[_ShardView]):
-        self._views = views
-        self._key: tuple | None = None
-        self._table_columns: dict = {}
-        self._columns: dict = {}
-        self._documents: dict = {}
-
-    def _sync(self) -> None:
-        key = tuple(view.generation for view in self._views)
-        if key == self._key:
-            return
-        table_columns: dict = {}
-        columns: dict = {}
-        documents: dict = {}
-        for view in self._views:
-            table_columns.update(view.table_columns)
-            columns.update(view.columns)
-            documents.update(dict.fromkeys(view.documents))
-        self._table_columns = table_columns
-        self._columns = columns
-        self._documents = documents
-        self._key = key
-
-    @property
-    def table_columns(self) -> dict:
-        self._sync()
-        return self._table_columns
-
-    @property
-    def columns(self) -> dict:
-        self._sync()
-        return self._columns
-
-    @property
-    def documents(self) -> dict:
-        self._sync()
-        return self._documents
-
-    def columns_of_table(self, table_name: str) -> list[str]:
-        return self.table_columns.get(table_name, [])
-
-    @property
-    def num_des(self) -> int:
-        return len(self.documents) + len(self.columns)
+        self.documents = dict.fromkeys(lite["documents"])
 
 
 class ProcessBackend:
@@ -362,12 +293,14 @@ class ProcessBackend:
         self.workers: list[ShardWorker] = []
         self.views: list[_ShardView] = []
         self._doc_texts: dict[str, str] = {}
+        #: Last collected per-shard corpus statistics (global-stats mode).
+        self._stat_snapshots: list = [None] * self.num_shards
         try:
             self._boot()
         except BaseException:
             self.close()
             raise
-        self.catalog = _FrontCatalog(self.views)
+        self.catalog = MergedCatalog(self.views)
         self.default_strategy = self._lites[0]["discovery_strategy"]
         self.operator_strategies = dict(self._lites[0]["operator_strategies"])
         self.union_candidate_k = self._lites[0]["union_candidate_k"]
@@ -425,8 +358,6 @@ class ProcessBackend:
         """
         if not (self.global_stats and self.num_shards > 1):
             return
-        if not hasattr(self, "_stat_snapshots"):
-            self._stat_snapshots = [None] * self.num_shards
         for i in fetch_shards:
             self._stat_snapshots[i] = self.workers[i].call("stats_snapshot")
         for i, worker in enumerate(self.workers):
@@ -449,12 +380,6 @@ class ProcessBackend:
 
     def generations(self) -> dict[int, int]:
         return dict(self.gens)
-
-    def shard_documents(self, shard: int):
-        return self.views[shard].documents
-
-    def shard_num_des(self, shard: int) -> int:
-        return self.views[shard].num_des
 
     def round_trip(
         self, shard: int, ops: list, pinned_gen: int | None = None
@@ -853,7 +778,7 @@ class LakeServer:
         source,
         backend: str = "thread",
         cache: bool = True,
-        cache_entries: int = 4096,
+        cache_entries: int = DEFAULT_ENTRIES,
         degraded: str = "fail",
         request_timeout: float | None = 30.0,
         read_retries: int = 1,
@@ -899,7 +824,7 @@ class LakeServer:
                 f"{type(source).__name__}"
             )
         self.cache = ResultCache(cache_entries) if cache else None
-        if self.cache is not None and hasattr(self.backend, "on_respawn"):
+        if self.cache is not None and backend == "process":
             # A respawned worker may reuse a reconciled generation
             # number: drop its partials rather than trust key matching
             # across the crash.
@@ -932,23 +857,17 @@ class LakeServer:
         most three batched round-trips per shard."""
         self._check_open()
         with self._lock.read():
-            generations = self.backend.generations()
-            executor = ServingExecutor(self, generations)
+            executor = ScatterGatherExecutor(
+                self.backend, self.planner, self.backend.generations(),
+                cache=self.cache, pool=self._pool,
+                degraded=self.degraded, unavailable=ShardUnavailable,
+            )
             plans = self.planner.plan_batch(
                 [DiscoveryEngine._to_ast(q) for q in queries]
             )
             results = executor.execute_batch(plans)
             self.last_stats = executor.last_stats
             return results
-
-    def map_shards(self, fn, shards: list[int]) -> None:
-        """Run ``fn(shard)`` for each listed shard, concurrently when the
-        server has a pool (the executor's fan-out primitive)."""
-        if self._pool is not None and len(shards) > 1:
-            list(self._pool.map(fn, shards))
-        else:
-            for shard in shards:
-                fn(shard)
 
     # ------------------------------------------------------------ writes
 
@@ -962,7 +881,9 @@ class LakeServer:
         self.add_documents([document])
 
     def add_documents(self, documents) -> None:
-        self._apply("add_documents", {"documents": list(documents)})
+        documents = list(documents)
+        if documents:
+            self._apply("add_documents", {"documents": documents})
 
     def remove(self, name: str) -> None:
         self._apply("remove", {"name": name})
@@ -983,9 +904,8 @@ class LakeServer:
     def reset_shard(self, shard: int) -> None:
         """Re-arm an open circuit: clear the shard's consecutive-failure
         count so the next request attempts recovery again."""
-        supervisor = getattr(self.backend, "supervisor", None)
-        if supervisor is not None:
-            supervisor.reset(shard)
+        if self.backend.supervisor is not None:
+            self.backend.supervisor.reset(shard)
 
     @property
     def generations(self) -> dict[int, int]:

@@ -197,7 +197,7 @@ def _serve_loop(conn: Connection, db, host, plan: faults.FaultPlan) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Child entry point:
     ``python -m repro.serve.worker <shard.sqlite> <req_fd> <hb_fd> <index>``."""
-    from repro.serve.ops import ShardHost
+    from repro.serve.ops import OPS, ShardHost
     from repro.store import ShardStore, replay_shard_journal, restore_shard_session
 
     argv = sys.argv[1:] if argv is None else argv
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             owns_document=owns_document,
             sibling_entries=sibling_entries,
         )
-        host = ShardHost(session)
+        host = ShardHost(session, OPS)
         journal_seq = max((seq for seq, _, _ in db.journal_entries()), default=0)
         conn.send(
             (

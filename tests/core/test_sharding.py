@@ -389,3 +389,159 @@ class TestShardedDrift:
             session.generations[i] == 0
             for i in session.generations if i != owner
         )
+
+
+# ------------------------------------------------- failed rebalance is atomic
+
+
+@pytest.mark.parametrize("bad", [{"nope": 0}, {"cities": 7}],
+                         ids=["unknown-name", "shard-out-of-range"])
+def test_failed_rebalance_changes_nothing(toy_lake, tmp_path, bad):
+    """Every name and target is validated before the first move: a bad
+    assignment leaves the live session — and the catalog it reopens from —
+    exactly as they were, with every entry still reachable."""
+    session = open_lake(_copy_lake(toy_lake), _config(), shards=2,
+                        global_stats=True)
+    session.save(tmp_path / "lake")
+
+    def homes(s) -> dict[str, int]:
+        return {
+            name: i for i, shard in enumerate(s.shards)
+            for name in shard.lake.table_names
+            + [d.doc_id for d in shard.lake.documents]
+        }
+
+    before, generations = homes(session), session.generations
+    with pytest.raises((KeyError, ValueError)):
+        session.rebalance({"drugs": 1 - session.shard_of("drugs"), **bad})
+    assert homes(session) == before
+    assert session.generations == generations
+    assert session.router.assignments == {}
+
+    session.save()
+    session.close()
+    with open_lake(tmp_path / "lake") as reopened:
+        assert homes(reopened) == before
+        assert all(reopened.shard_of(n) == i for n, i in before.items())
+        drugs = reopened.shards[before["drugs"]].lake.table("drugs")
+        reopened.update_table(drugs.select_rows([0], "drugs"))  # reachable
+        reopened.remove("drugs")
+
+
+# ------------------------------------------- session-side link-index lifetime
+
+
+def _linked_copy(session, shard: int):
+    """A copy of a PK-FK-linked table under a name the router sends to
+    ``shard``: adding it adds links (the in-process mirror of
+    tests/serve/test_cache.py::linked_copy)."""
+    source = next(
+        name for name in sorted(session.table_names)
+        if session.discover(Q.pkfk(name, top_n=3)).items
+    )
+    table = session.shards[session.shard_of(source)].lake.table(source)
+    name = next(
+        f"{source}_copy{i}" for i in range(64)
+        if session.router.shard_of(f"{source}_copy{i}") == shard
+    )
+    return source, table.select_rows(list(range(table.num_rows)), name)
+
+
+def test_session_link_index_lives_exactly_one_generation_vector(
+    pharma_generated,
+):
+    """The merged PK-FK link index is retained per generation vector: a
+    repeated ``pkfk`` read is one cache lookup, and every kind of
+    generation move — owner mutation, sibling mutation, rebalance, refresh
+    — costs exactly one sweep, after which answers equal a cold monolithic
+    fit of the same lake."""
+    session = open_lake(_copy_lake(pharma_generated.lake), _config(),
+                        shards=2, global_stats=True)
+
+    def sweeps_once_then_never(context: str) -> None:
+        lake = DataLake(name="cold")
+        for shard in session.shards:
+            for table in shard.lake.tables:
+                lake.add_table(table)
+            for document in shard.lake.documents:
+                lake.add_document(document)
+        mono = open_lake(lake, _config())
+        queries = [Q.pkfk(t, top_n=3) for t in sorted(session.table_names)]
+        got = session.discover_batch(queries)
+        assert session.last_batch_stats.pkfk_sweeps == 1, context
+        assert [g.items for g in got] == [
+            mono.discover(q).items for q in queries
+        ], context
+        session.discover(queries[0])
+        stats = session.last_batch_stats
+        assert stats.pkfk_sweeps == 0, context
+        assert stats.shard_round_trips == {}, context
+        assert (stats.cache_hits, stats.cache_misses) == (1, 0), context
+
+    sweeps_once_then_never("cold")
+    source, _ = _linked_copy(session, 0)
+    owner = session.shard_of(source)
+    session.add_table(_linked_copy(session, owner)[1])
+    sweeps_once_then_never("owner-shard mutation")
+    session.add_table(_linked_copy(session, 1 - owner)[1])
+    sweeps_once_then_never("sibling-shard mutation")
+    session.rebalance({source: 1 - owner})
+    sweeps_once_then_never("rebalance")
+    session.refresh()
+    sweeps_once_then_never("refresh")
+
+
+# ------------------------------------------------- one executor, one op table
+
+
+def test_session_and_thread_server_share_one_read_path(pharma_generated):
+    """Structural guard: a sharded session and a thread-backed LakeServer
+    over it run the same executor class over the same ShardHost objects,
+    and a six-primitive workload issues the same shard ops on both — a
+    second scatter-gather path would have to show up here."""
+    from repro.core import scatter
+    from repro.serve import LakeServer
+
+    session = open_lake(_copy_lake(pharma_generated.lake), _config(),
+                        shards=2, global_stats=True)
+    server = LakeServer(session)
+    executors, ops = [], []
+    real_init = scatter.ScatterGatherExecutor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        executors.append(type(self))
+        real_init(self, *args, **kwargs)
+
+    def run(front) -> tuple[list, list]:
+        ops.clear()
+        executors.clear()
+        session._cache.clear()  # both fronts start from cold partials
+        server.cache.clear()
+        results = front.discover_batch(_workload(session.profile))
+        return [r.items for r in results], sorted(ops)
+
+    try:
+        assert server.backend.hosts is session.hosts
+        for i, host in enumerate(session.hosts):
+            assert type(host) is scatter.ShardHost
+            inner = host.handle
+            host.handle = lambda op, payload, i=i, inner=inner: (
+                ops.append((i, op)), inner(op, payload)
+            )[1]
+        scatter.ScatterGatherExecutor.__init__ = recording_init
+        session_items, session_ops = run(session)
+        assert executors == [scatter.ScatterGatherExecutor]
+        server_items, server_ops = run(server)
+        assert executors == [scatter.ScatterGatherExecutor]
+    finally:
+        scatter.ScatterGatherExecutor.__init__ = real_init
+        server.close()
+        session.close()
+    assert server_items == session_items
+    assert server_ops == session_ops
+    assert {op for _, op in session_ops} >= {
+        "keyword", "document_encoding", "text_query_sketch",
+        "encoding_column_hits", "text_column_parts", "table_sketches",
+        "joinable_columns_for", "union_phase1", "union_phase2",
+        "pk_entries", "pkfk_links_for",
+    }

@@ -277,3 +277,32 @@ class TestMutationSurface:
     def test_missing_catalog_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="catalog.sqlite"):
             LakeServer(tmp_path / "nowhere", backend="process")
+
+
+@pytest.mark.parametrize("front", ["unbound", "bound", "thread", "process"])
+@pytest.mark.parametrize("shards", [None, 2], ids=["monolithic", "sharded"])
+def test_empty_document_batch_is_a_noop(seed_lakes, tmp_path, shards, front):
+    """``add_documents([])`` journals nothing and bumps no generation —
+    on a session with or without a bound catalog, and through both
+    server backends (routing used to index ``documents[0]``)."""
+    kwargs = {"shards": shards, "global_stats": True} if shards else {}
+    session = open_lake(copy_lake(seed_lakes["pharma"]), parity_config(), **kwargs)
+    target = session
+    if front != "unbound":
+        session.save(tmp_path / "lake")
+    if front == "thread":
+        target = LakeServer(session)
+    elif front == "process":
+        target = session.serve(backend="process")
+    try:
+        generation = target.generation
+        target.add_documents([])
+        assert target.generation == generation
+        if front in ("bound", "thread"):
+            assert session._store.pending_journal() == 0
+    finally:
+        target.close()
+        session.close()
+    if front != "unbound":
+        with open_lake(tmp_path / "lake") as reopened:
+            assert reopened.generation == generation
