@@ -18,8 +18,10 @@ in-process session runs, and the backends here are its transports.
   reconciliation) on top of the read ops every transport shares
   (:data:`repro.core.scatter.READ_OPS`);
 * :mod:`repro.serve.worker` — one process per shard, booted from the
-  shard's own ``shard-NNNN.sqlite`` (reopen, never refit), plus the
-  parent-side handle that spawns, calls, and reaps it;
+  shard's own ``shard-NNNN.sqlite`` (reopen, never refit) and forked —
+  at boot and at every respawn — from the server's one *zygote*, a
+  launcher that imported the worker code once; plus the parent-side
+  handles that launch, call, and reap workers and zygote;
 * :mod:`repro.serve.cache` — the per-shard result cache keyed by
   ``(plan node, generation scope)`` (re-exported from
   :mod:`repro.core.result_cache`);
@@ -33,7 +35,8 @@ in-process session runs, and the backends here are its transports.
 Fault tolerance (process backend): transport failures surface as the
 typed :class:`RPCError` hierarchy, a :class:`WorkerSupervisor` respawns
 crashed or hung workers through the catalog-reopen path (the worker
-replays its own journal tail back to the exact pre-crash state), reads
+replays its own journal tail back to the exact pre-crash state; a failed
+launch relaunches the zygote once, then counts as a failed respawn), reads
 retry on the respawned worker pinned to their snapshot generation, and a
 shard down past its budget either fails the query
 (:class:`ShardUnavailable`, ``degraded="fail"``) or drops out of the

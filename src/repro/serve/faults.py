@@ -1,10 +1,13 @@
 """Deterministic fault injection for the process serving backend.
 
-Shard workers read a fault plan from the ``REPRO_SERVE_FAULTS``
-environment variable at boot (the parent's environment is inherited via
-``ShardWorker._child_env``) and fire the planned faults at named points.
-Nothing here is probabilistic: a fault either fires at its point or it
-does not, so every recovery test replays identically.
+The fault spec is read per launch: each worker launch request carries
+the spec armed in the front-end's ``REPRO_SERVE_FAULTS`` at that moment
+(:func:`armed`), the forked worker installs it in its own environment,
+reads its plan from there at boot, and fires the planned faults at
+named points. Arming or clearing a spec therefore affects exactly the
+workers launched afterwards — at boot or as a crash respawn — and never
+one already running. Nothing here is probabilistic: a fault either fires
+at its point or it does not, so every recovery test replays identically.
 
 Spec grammar — ``;``-separated directives::
 
@@ -163,6 +166,11 @@ class FaultPlan:
 
 # --------------------------------------------------------------------------
 # Parent-side helpers (tests / benchmarks)
+
+
+def armed() -> str | None:
+    """The spec armed right now: what a worker launched now runs with."""
+    return os.environ.get(FAULT_ENV)
 
 
 def install(spec: str) -> None:

@@ -61,7 +61,7 @@ from repro.serve.rpc import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from repro.serve.worker import ShardWorker, WorkerSupervisor
+from repro.serve.worker import ShardWorker, WorkerSupervisor, Zygote
 from repro.store.shard import ShardStore
 from repro.text.pipeline import DocumentPipeline
 
@@ -202,6 +202,11 @@ class _ShardView:
 class ProcessBackend:
     """Shards served by one worker process each, from a saved catalog.
 
+    Every worker — at boot and at each respawn — is forked from the
+    backend's one :class:`~repro.serve.worker.Zygote`, which has the
+    worker code imported already; :meth:`close` (or GC) closes the
+    workers and then waits for the zygote.
+
     Failure handling, per layer:
 
     * every worker call carries ``request_timeout``; any transport
@@ -290,12 +295,15 @@ class ProcessBackend:
         #: generation so no cache key spans the crash.
         self._pending_crash: set[int] = set()
         self._recover_locks = [Lock() for _ in range(self.num_shards)]
+        self._zygote_lock = Lock()
+        self.zygote: Zygote | None = None
         self.workers: list[ShardWorker] = []
         self.views: list[_ShardView] = []
         self._doc_texts: dict[str, str] = {}
         #: Last collected per-shard corpus statistics (global-stats mode).
         self._stat_snapshots: list = [None] * self.num_shards
         try:
+            self.zygote = Zygote()
             self._boot()
         except BaseException:
             self.close()
@@ -308,14 +316,22 @@ class ProcessBackend:
     # --------------------------------------------------------------- boot
 
     def _spawn(self, shard: int) -> ShardWorker:
-        return ShardWorker(
-            self.path / f"shard-{shard:04d}.sqlite",
-            index=shard,
-            request_timeout=self.request_timeout,
-        )
+        """Fork a worker for ``shard``. A failed launch (the zygote died
+        or stopped answering, descriptors ran out) relaunches the zygote
+        once and retries; a second failure raises ``OSError``."""
+        path = self.path / f"shard-{shard:04d}.sqlite"
+        zygote = self.zygote
+        try:
+            return ShardWorker.forked(zygote, path, shard, self.request_timeout)
+        except OSError:
+            with self._zygote_lock:
+                if self.zygote is zygote:  # not already replaced by a sibling
+                    self.zygote = Zygote()
+                    zygote.detach()
+        return ShardWorker.forked(self.zygote, path, shard, self.request_timeout)
 
     def _boot(self) -> None:
-        # Spawn every worker first, then collect handshakes: the shard
+        # Fork every worker first, then collect handshakes: the shard
         # restores (and journal-tail replays) run concurrently across the
         # children. Replay happens *inside* each worker — the recovery
         # path and the boot path are one code path.
@@ -453,7 +469,14 @@ class ProcessBackend:
                     ) from last_error
                 self.supervisor.backoff(shard)
                 self.workers[shard].kill()
-                fresh = self._spawn(shard)
+                try:
+                    fresh = self._spawn(shard)
+                except OSError as exc:
+                    # Even a relaunched zygote could not fork it: a
+                    # failed respawn like any other, never a bare OSError.
+                    self.supervisor.note_failure(shard)
+                    last_error = exc
+                    continue
                 try:
                     fresh.wait_ready(timeout=self.request_timeout)
                     self.workers[shard] = fresh
@@ -738,6 +761,8 @@ class ProcessBackend:
         for worker in self.workers:
             worker.close()
         self.workers = []
+        if self.zygote is not None:
+            self.zygote.close()  # after the workers: it outlives its children
         self.catalog_db.close()
 
 

@@ -10,7 +10,9 @@ with :mod:`repro.serve.faults` so every run replays deterministically.
 
 from __future__ import annotations
 
+import errno
 import shutil
+import socket
 import threading
 from types import SimpleNamespace
 
@@ -293,6 +295,41 @@ class TestDegraded:
         finally:
             server.close()
 
+    @pytest.mark.parametrize("degraded", ["fail", "partial"])
+    def test_failed_launch_is_a_failed_respawn(
+        self, seed, tmp_path, monkeypatch, degraded
+    ):
+        """A respawn whose launch itself fails (here: the front-end is
+        out of descriptors) backs off, trips the breaker and ends in
+        ``ShardUnavailable`` — which ``partial`` degrades — instead of
+        escaping as a bare ``OSError``."""
+        server = LakeServer(
+            lake_copy(seed, tmp_path), backend="process",
+            degraded=degraded, cache=False, **FAST,
+        )
+        try:
+            kill_worker(server, 1)
+
+            def out_of_descriptors(*args, **kwargs):
+                raise OSError(errno.EMFILE, "Too many open files")
+
+            monkeypatch.setattr(socket, "socketpair", out_of_descriptors)
+            query = seed.queries[0]
+            if degraded == "fail":
+                with pytest.raises(ShardUnavailable, match="circuit open"):
+                    server.discover(query)
+            else:
+                server.discover(query)
+                assert server.last_stats.degraded_shards == [1]
+            monkeypatch.undo()
+            assert server.backend.supervisor.tripped(1)
+            server.reset_shard(1)
+            got = server.discover_batch(seed.queries)
+            assert_same_results(seed.expected, got, seed.queries, "relaunched")
+            assert server.last_stats.degraded_shards == []
+        finally:
+            server.close()
+
     def test_mutations_never_degrade(self, seed, tmp_path):
         server = self.down_server(seed, tmp_path, degraded="partial")
         try:
@@ -478,6 +515,30 @@ class TestShutdownTolerance:
 
 
 class TestFaultSpecs:
+    def test_spec_is_read_at_launch_not_at_boot(self, seed, tmp_path):
+        """A spec armed after the server booted reaches the next worker
+        launched, and a cleared spec stops reaching the ones after it."""
+        server = LakeServer(
+            lake_copy(seed, tmp_path), backend="process", cache=False, **FAST
+        )
+        marker = tmp_path / "boot-crash"
+        try:
+            with faults.inject(f"crash:boot@{marker}"):
+                kill_worker(server, 0)
+                got = server.discover_batch(seed.queries)
+            assert marker.exists(), "the respawned worker ignored the spec"
+            assert server.backend.supervisor.respawns[0] == 1
+            assert_same_results(seed.expected, got, seed.queries, "armed")
+
+            marker.unlink()
+            kill_worker(server, 0)
+            got = server.discover_batch(seed.queries)
+            assert not marker.exists(), "a cleared spec still fired"
+            assert server.backend.supervisor.respawns[0] == 2
+            assert_same_results(seed.expected, got, seed.queries, "cleared")
+        finally:
+            server.close()
+
     def test_parse_round_trips_the_grammar(self):
         parsed = faults.parse(
             "crash:boot;delay:keyword:1.5;mid_frame:batch@/tmp/m;corrupt:keyword"

@@ -12,6 +12,7 @@ document churn triggers under global statistics).
 from __future__ import annotations
 
 import gc
+import os
 import shutil
 import time
 
@@ -53,6 +54,15 @@ def wait_exit(procs, timeout: float = 30.0) -> bool:
             return True
         time.sleep(0.05)
     return False
+
+
+def pid_exists(pid: int) -> bool:
+    """Whether ``pid`` is still a process — running or an unreaped zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def parity_case(lake, tmp_path, shards: int) -> None:
@@ -209,6 +219,58 @@ class TestWorkerLifecycle:
         del server
         gc.collect()
         assert wait_exit(procs), "workers leaked after the server was GC'd"
+
+    @pytest.mark.parametrize("shutdown", ["close", "gc"])
+    def test_no_worker_or_zygote_outlives_the_server(
+        self, seed_lakes, tmp_path, shutdown
+    ):
+        """Every worker is forked by the server's one zygote, which reaps
+        them and is itself waited for — nothing is left running and no
+        zombie is left behind. Only pids and the zygote's own process
+        handle are kept here: a worker handle would keep its zygote's
+        handle (and so the GC wait) alive."""
+        saved_session(seed_lakes["pharma"], tmp_path / "lake")
+        server = LakeServer(tmp_path / "lake", backend="process")
+        zygote = server.backend.zygote.proc
+        pids = [worker.proc.pid for worker in server.backend.workers]
+        assert zygote.poll() is None and all(map(pid_exists, pids))
+        if shutdown == "close":
+            server.close()
+        else:
+            del server
+            gc.collect()
+        assert zygote.poll() is not None, "zygote still running"
+        assert not any(map(pid_exists, pids)), "a worker outlived its zygote"
+
+    def test_killed_zygote_is_relaunched_by_the_next_respawn(
+        self, seed_lakes, tmp_path
+    ):
+        reference = saved_session(seed_lakes["pharma"], tmp_path / "lake")
+        queries = workload(reference)
+        expected = reference.discover_batch(queries)
+        server = LakeServer(tmp_path / "lake", backend="process", cache=False)
+        try:
+            first = server.backend.zygote
+            assert all(w.boot_s > 0 for w in server.backend.workers)
+            first.proc.kill()
+            first.proc.wait()
+            # The workers it forked keep serving without their launcher.
+            got = server.discover_batch(queries)
+            assert_same_results(expected, got, queries, "zygote killed")
+            assert server.backend.total_respawns == 0
+
+            victim = server.backend.workers[0]
+            victim.proc.kill()
+            victim.proc.wait()
+            got = server.discover_batch(queries)
+            assert_same_results(expected, got, queries, "respawn, new zygote")
+            assert server.backend.total_respawns == 1
+            assert server.backend.zygote is not first
+            assert server.backend.zygote.proc.poll() is None
+            fresh = server.backend.workers[0]
+            assert fresh.proc.pid != victim.proc.pid and fresh.boot_s > 0
+        finally:
+            server.close()
 
     def test_serve_contract_on_sessions(self, seed_lakes, tmp_path):
         """``session.serve(backend='process')`` hands the catalog over:

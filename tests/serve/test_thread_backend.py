@@ -1,10 +1,11 @@
 """Thread-backed LakeServer: parity, snapshot pinning, cache invalidation.
 
 The serving front-end wraps a *live* session here, so parity is a pure
-executor check: the batched ServingExecutor (3 round-trips per shard,
-plan-level cache) must merge per-shard partials byte-identically to the
-session's own ShardedExecutor on every primitive — cold, warm (cache
-hits), and after interleaved mutations through the server's writer path.
+transport check: the server's ScatterGatherExecutor (3 batched
+round-trips per shard, plan-level cache) reads the session's own shard
+hosts and must return byte-identically what the session's
+``discover_batch`` returns on every primitive — cold, warm (cache hits),
+and after interleaved mutations through the server's writer path.
 """
 
 from __future__ import annotations
