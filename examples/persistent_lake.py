@@ -16,7 +16,8 @@ they run, so even a crash (or a close without save) loses nothing — the
 next open replays the journal through the same mutators and lands on the
 exact generation. ``save()`` on a bound session is an incremental
 checkpoint: dirty tracking rewrites only the rows and index sections the
-mutations actually touched.
+mutations actually touched. ``repro.store.footprint(path)`` reports the
+catalog's bytes per component (lake rows, sketches, each index section).
 
 Run:  python examples/persistent_lake.py
 """
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 from repro import CMDL, CMDLConfig, Q, Table, generate_pharma_lake, open_lake
+from repro.store import footprint
 
 
 def timed(label: str, fn):
@@ -51,6 +53,13 @@ def main() -> None:
                         lambda: open_lake(lake, CMDLConfig(use_joint=False)))
         timed("save (full catalog write)", lambda: session.save(catalog))
         print(f"  catalog: {sorted(p.name for p in catalog.iterdir())}")
+        # Where the bytes are: index sections hold keys, norms and tree
+        # structure only — their signatures and vectors are references to
+        # the sketches stored once beside them.
+        sizes = footprint(catalog)
+        print(f"  footprint: {sum(sizes.values()):,} bytes; largest components:")
+        for component, size in sorted(sizes.items(), key=lambda kv: -kv[1])[:8]:
+            print(f"    {component:<30} {size:>10,}")
         baseline = session.discover(Q.joinable("drugs", top_n=3))
         session.close()
         del session  # nothing of the fit survives in memory

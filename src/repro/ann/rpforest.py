@@ -44,6 +44,24 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _reference_rows(keys: list[str], norms: np.ndarray, source) -> np.ndarray:
+    """Rows persisted as references: ``source(key) / norm`` per key, as one
+    vectorised division. The norms are re-measured first, so a source
+    vector that is not the one the row was normalised from is refused."""
+    vectors = []
+    for key in keys:
+        vector = None if source is None else source(key)
+        if vector is None:
+            raise KeyError(f"unresolved row reference {key!r}")
+        vectors.append(vector)
+    stacked = np.stack(vectors)
+    found = np.linalg.norm(stacked, axis=1)
+    found[~(found > 0)] = 1.0  # zero vectors were stored with divisor 1
+    if not np.allclose(found, norms, rtol=1e-9, atol=0.0):
+        raise ValueError("row references disagree with their recorded norms")
+    return stacked / norms[:, None]
+
+
 @dataclass
 class _Node:
     """Internal split node or leaf of one RP tree (``"nodes"`` backend)."""
@@ -98,22 +116,14 @@ class RPForestIndex:
         self.backend = backend
         self._keys: list[str] = []
         self._rows: list[np.ndarray] = []
+        #: Per row, the divisor that normalised it: ``row == vector / norm``
+        #: (1.0 for a zero vector, which is stored as is).
+        self._norms: list[float] = []
         self._matrix: np.ndarray | None = None
         self._planted = False
         # "nodes" backend: one root _Node per tree.
         self._trees: list[_Node] = []
-        # "array" backend: flat node arrays. Children are node ids
-        # (-1 = leaf); internal nodes carry a row of _planes plus an offset;
-        # leaves carry a [start, end) span into _leaf_items.
-        self._tree_roots: list[int] = []
-        self._node_left = np.zeros(0, dtype=np.int32)
-        self._node_right = np.zeros(0, dtype=np.int32)
-        self._node_plane = np.zeros(0, dtype=np.int32)
-        self._node_offset = np.zeros(0, dtype=np.float64)
-        self._planes = np.zeros((0, dim))
-        self._leaf_start = np.zeros(0, dtype=np.int64)
-        self._leaf_end = np.zeros(0, dtype=np.int64)
-        self._leaf_items = np.zeros(0, dtype=np.int64)
+        self._clear_arrays()
         #: Live key -> row index (tombstoned rows have no entry here).
         self._key_pos: dict[str, int] = {}
         self._fresh: set[int] = set()
@@ -121,13 +131,23 @@ class RPForestIndex:
 
     # -------------------------------------------------------------- build
 
-    def add(self, key: str, vector: np.ndarray) -> None:
+    def _append_row(self, key: str, vector: np.ndarray) -> None:
+        """Normalise one vector and append it as the next row (every row
+        enters through here, so ``_norms`` always matches ``_rows``)."""
         if len(vector) != self.dim:
             raise ValueError(f"vector has dim {len(vector)}, index expects {self.dim}")
         norm = np.linalg.norm(vector)
+        if norm > 0:
+            self._rows.append(vector / norm)
+            self._norms.append(float(norm))
+        else:
+            self._rows.append(np.asarray(vector, dtype=float))
+            self._norms.append(1.0)
         self._keys.append(key)
-        self._rows.append(vector / norm if norm > 0 else np.asarray(vector, dtype=float))
         self._key_pos[key] = len(self._keys) - 1
+
+    def add(self, key: str, vector: np.ndarray) -> None:
+        self._append_row(key, vector)
         self._matrix = None
         self._planted = False
 
@@ -141,32 +161,21 @@ class RPForestIndex:
         for key, vector in entries:
             if key in self._key_pos:
                 raise ValueError(f"duplicate ANN key {key!r}")
-            if len(vector) != self.dim:
-                raise ValueError(
-                    f"vector has dim {len(vector)}, index expects {self.dim}"
-                )
-            norm = np.linalg.norm(vector)
-            self._keys.append(key)
-            self._rows.append(
-                vector / norm if norm > 0 else np.asarray(vector, dtype=float)
-            )
-            self._key_pos[key] = len(self._keys) - 1
+            self._append_row(key, vector)
         return self.build()
 
     def build(self) -> "RPForestIndex":
         """(Re)build the forest over all live points."""
         if self._deleted_idx:
-            live = [
-                (k, r) for i, (k, r) in enumerate(zip(self._keys, self._rows))
-                if i not in self._deleted_idx
-            ]
-            self._keys = [k for k, _ in live]
-            self._rows = [r for _, r in live]
+            live = [i for i in range(len(self._keys)) if i not in self._deleted_idx]
+            self._keys = [self._keys[i] for i in live]
+            self._rows = [self._rows[i] for i in live]
+            self._norms = [self._norms[i] for i in live]
             self._key_pos = {k: i for i, k in enumerate(self._keys)}
             self._deleted_idx = set()
         self._fresh = set()
         self._trees = []
-        self._tree_roots = []
+        self._clear_arrays()
         if not self._rows:
             self._matrix = np.zeros((0, self.dim))
             self._planted = True
@@ -202,13 +211,7 @@ class RPForestIndex:
         if self._matrix is None:
             self.add(key, vector)
             return
-        if len(vector) != self.dim:
-            raise ValueError(f"vector has dim {len(vector)}, index expects {self.dim}")
-        norm = np.linalg.norm(vector)
-        row = vector / norm if norm > 0 else np.asarray(vector, dtype=float)
-        self._keys.append(key)
-        self._rows.append(row)
-        self._key_pos[key] = len(self._keys) - 1
+        self._append_row(key, vector)
         # The matrix is NOT extended per insert (that would copy O(n*d) per
         # point): fresh rows are scored straight from _rows until the next
         # re-plant folds them in.
@@ -248,12 +251,17 @@ class RPForestIndex:
         base = _mix64(_mix64(self.seed ^ (tree * _SPLITMIX_GAMMA)) ^ path)
         return base, _mix64(base + _SPLITMIX_GAMMA)
 
-    def _split_plane(self, indexes, tree: int, path: int) -> tuple[np.ndarray, float]:
+    def _split_plane(
+        self, indexes, tree: int, path: int
+    ) -> tuple[np.ndarray, float, tuple[int, int, float]]:
         """Sample one node's splitting hyperplane: the perpendicular bisector
         of two distinct sampled points (random plane if they coincide).
 
         ``indexes`` may be a list (nodes backend) or an int array (array
-        backend); both hit identical scalar arithmetic.
+        backend); both hit identical scalar arithmetic. Also returns the
+        plane's provenance ``(a, b, norm)`` — matrix rows and divisor with
+        ``normal == (matrix[a] - matrix[b]) / norm`` — with ``a == b == -1``
+        for a random plane, which only its own values can reproduce.
         """
         h1, h2 = self._node_words(tree, path)
         n = len(indexes)
@@ -261,7 +269,8 @@ class RPForestIndex:
         j = h2 % (n - 1)
         if j >= i:  # j drawn from [0, n-1) then shifted past i: j != i, uniform
             j += 1
-        p, q = self._matrix[indexes[i]], self._matrix[indexes[j]]
+        a, b = int(indexes[i]), int(indexes[j])
+        p, q = self._matrix[a], self._matrix[b]
         normal = p - q
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
@@ -269,16 +278,18 @@ class RPForestIndex:
             # (rare enough that a seeded Generator is fine here).
             normal = np.random.default_rng(h1).standard_normal(self.dim)
             norm = np.linalg.norm(normal)
+            a = b = -1
+        provenance = (a, b, float(norm))
         normal = normal / norm
         midpoint = (p + q) / 2.0
         offset = float(normal @ midpoint)
-        return normal, offset
+        return normal, offset, provenance
 
     def _build_node(self, indexes: list[int], tree: int, path: int, depth: int) -> _Node:
         """Recursive oracle builder (``"nodes"`` backend)."""
         if len(indexes) <= self.leaf_size or depth > self.MAX_DEPTH:
             return _Node(indexes=list(indexes))
-        normal, offset = self._split_plane(indexes, tree, path)
+        normal, offset, _ = self._split_plane(indexes, tree, path)
         projections = self._matrix[indexes] @ normal - offset
         left_idx = [ix for ix, s in zip(indexes, projections) if s <= 0]
         right_idx = [ix for ix, s in zip(indexes, projections) if s > 0]
@@ -311,6 +322,7 @@ class RPForestIndex:
         leaf_end: list[int] = []
         leaf_chunks: list[np.ndarray] = []
         planes: list[np.ndarray] = []
+        provenance: list[tuple[int, int, float]] = []
         items_written = 0
 
         def alloc() -> int:
@@ -341,7 +353,7 @@ class RPForestIndex:
                 if idx.size <= self.leaf_size or depth > self.MAX_DEPTH:
                     seal_leaf(node, idx)
                     continue
-                normal, offset = self._split_plane(idx, tree, path)
+                normal, offset, source = self._split_plane(idx, tree, path)
                 projections = self._matrix[idx] @ normal - offset
                 mask = projections <= 0
                 left_idx = idx[mask]
@@ -351,6 +363,7 @@ class RPForestIndex:
                     continue
                 plane_of[node] = len(planes)
                 planes.append(normal)
+                provenance.append(source)
                 offsets[node] = offset
                 lo, hi = alloc(), alloc()
                 left[node] = lo
@@ -365,19 +378,57 @@ class RPForestIndex:
         self._node_plane = np.asarray(plane_of, dtype=np.int32)
         self._node_offset = np.asarray(offsets, dtype=np.float64)
         self._planes = np.vstack(planes) if planes else np.zeros((0, self.dim))
+        self._plane_pairs = np.array(
+            [(a, b) for a, b, _ in provenance], dtype=np.int64
+        ).reshape(-1, 2)
+        self._plane_norms = np.array(
+            [norm for _, _, norm in provenance], dtype=np.float64
+        )
         self._leaf_start = np.asarray(leaf_start, dtype=np.int64)
         self._leaf_end = np.asarray(leaf_end, dtype=np.int64)
         self._leaf_items = (
             np.concatenate(leaf_chunks) if leaf_chunks else np.zeros(0, dtype=np.int64)
         )
 
+    def _clear_arrays(self) -> None:
+        """Empty the ``"array"`` backend's planted state. Children are node
+        ids (-1 = leaf); internal nodes carry a row of ``_planes`` plus an
+        offset; leaves carry a [start, end) span into ``_leaf_items``.
+        ``_plane_pairs`` / ``_plane_norms`` record where each plane came
+        from (see :meth:`_split_plane`) so persistence can derive it."""
+        self._tree_roots: list[int] = []
+        self._node_left = np.zeros(0, dtype=np.int32)
+        self._node_right = np.zeros(0, dtype=np.int32)
+        self._node_plane = np.zeros(0, dtype=np.int32)
+        self._node_offset = np.zeros(0, dtype=np.float64)
+        self._planes = np.zeros((0, self.dim))
+        self._plane_pairs = np.zeros((0, 2), dtype=np.int64)
+        self._plane_norms = np.zeros(0, dtype=np.float64)
+        self._leaf_start = np.zeros(0, dtype=np.int64)
+        self._leaf_end = np.zeros(0, dtype=np.int64)
+        self._leaf_items = np.zeros(0, dtype=np.int64)
+
     def __len__(self) -> int:
         return len(self._keys) - len(self._deleted_idx)
 
     # -------------------------------------------------------- persistence
 
-    def persistent_state(self) -> dict:
-        """Rows as one slab plus the flat planted arrays verbatim.
+    def persistent_state(self, source=None) -> dict:
+        """Keys, per-row norms and tree structure; only underivable values.
+
+        Rows: ``source`` (``key -> vector | None``) names where each
+        entry's input vector lives outside the forest — the profile's
+        sketch. A row is stored as a *reference* (nothing but its key and
+        its 8-byte norm) when it is live and ``source(key) / norm``
+        reproduces it bit for bit; tombstoned rows, rows whose source has
+        moved on, and every row when no source is given stay explicit.
+        Restore recomputes references with one vectorised division, which
+        is correctly rounded and so identical on any BLAS.
+
+        Planes: an array-backend plane is ``(matrix[a] - matrix[b]) /
+        norm`` for its recorded ``(a, b, norm)`` (see :meth:`_split_plane`)
+        and is derived on restore; only random fallback planes (coincident
+        sample points) are stored.
 
         ``matrix_rows`` records how many leading rows the planted matrix
         covered (-1 = never planted): post-plant inserts only extend
@@ -387,6 +438,19 @@ class RPForestIndex:
         """
         n = len(self._keys)
         rows = np.vstack(self._rows) if self._rows else np.zeros((0, self.dim))
+        norms = np.asarray(self._norms, dtype=np.float64)
+        explicit = np.ones(n, dtype=bool)
+        if source is not None:
+            live = [(i, source(key)) for key, i in self._key_pos.items()]
+            live = [(i, v) for i, v in live if v is not None]
+            if live:
+                idx = np.array([i for i, _ in live], dtype=np.int64)
+                derived = np.stack([v for _, v in live]) / norms[idx, None]
+                same = (
+                    derived.view(np.uint64) == rows[idx].view(np.uint64)
+                ).all(axis=1)
+                explicit[idx[same]] = False
+        random_planes = self._plane_pairs[:, 0] < 0
         return {
             "dim": self.dim,
             "num_trees": self.num_trees,
@@ -394,7 +458,9 @@ class RPForestIndex:
             "seed": self.seed,
             "backend": self.backend,
             "keys": list(self._keys),
-            "rows": rows,
+            "norms": norms,
+            "explicit": np.flatnonzero(explicit),
+            "rows": rows[explicit],
             "matrix_rows": -1 if self._matrix is None else int(self._matrix.shape[0]),
             "planted": self._planted,
             "fresh": sorted(self._fresh),
@@ -405,7 +471,9 @@ class RPForestIndex:
             "node_right": self._node_right,
             "node_plane": self._node_plane,
             "node_offset": self._node_offset,
-            "planes": self._planes,
+            "plane_pairs": self._plane_pairs,
+            "plane_norms": self._plane_norms,
+            "planes": self._planes[random_planes],
             "leaf_start": self._leaf_start,
             "leaf_end": self._leaf_end,
             "leaf_items": self._leaf_items,
@@ -413,7 +481,11 @@ class RPForestIndex:
         }
 
     @classmethod
-    def restore_state(cls, state: dict) -> "RPForestIndex":
+    def restore_state(cls, state: dict, source=None) -> "RPForestIndex":
+        """Inverse of :meth:`persistent_state`. Reference rows resolve
+        through ``source``; one it cannot resolve raises :class:`KeyError`,
+        and a resolved vector whose norm disagrees with the recorded one
+        raises :class:`ValueError` — never a silently wrong row."""
         index = cls(
             dim=state["dim"],
             num_trees=state["num_trees"],
@@ -421,12 +493,33 @@ class RPForestIndex:
             seed=state["seed"],
             backend=state["backend"],
         )
-        rows = np.asarray(state["rows"], dtype=float)
-        n = state["n"]
+        n, dim = state["n"], state["dim"]
         index._keys = list(state["keys"])
+        norms = np.asarray(state["norms"], dtype=np.float64)
+        explicit = np.asarray(state["explicit"], dtype=np.int64)
+        rows = np.empty((n, dim))
+        rows[explicit] = state["rows"]
+        refs = np.setdiff1d(np.arange(n), explicit, assume_unique=True)
+        if refs.size:
+            rows[refs] = _reference_rows(
+                [index._keys[i] for i in refs], norms[refs], source
+            )
         index._rows = [rows[i] for i in range(n)]
+        index._norms = norms.tolist()
         m = state["matrix_rows"]
         index._matrix = None if m < 0 else rows[:m]
+        pairs = np.asarray(state["plane_pairs"], dtype=np.int64).reshape(-1, 2)
+        plane_norms = np.asarray(state["plane_norms"], dtype=np.float64)
+        derived = pairs[:, 0] >= 0
+        planes = np.empty((len(pairs), dim))
+        planes[~derived] = state["planes"]
+        # The same elementwise subtract-then-divide _split_plane ran.
+        planes[derived] = (
+            rows[pairs[derived, 0]] - rows[pairs[derived, 1]]
+        ) / plane_norms[derived, None]
+        index._planes = planes
+        index._plane_pairs = pairs
+        index._plane_norms = plane_norms
         index._planted = state["planted"]
         index._fresh = set(state["fresh"])
         index._deleted_idx = set(state["deleted_idx"])
@@ -436,7 +529,6 @@ class RPForestIndex:
         index._node_right = np.asarray(state["node_right"], dtype=np.int32)
         index._node_plane = np.asarray(state["node_plane"], dtype=np.int32)
         index._node_offset = np.asarray(state["node_offset"], dtype=np.float64)
-        index._planes = np.asarray(state["planes"], dtype=float)
         index._leaf_start = np.asarray(state["leaf_start"], dtype=np.int64)
         index._leaf_end = np.asarray(state["leaf_end"], dtype=np.int64)
         index._leaf_items = np.asarray(state["leaf_items"], dtype=np.int64)

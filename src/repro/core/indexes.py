@@ -36,6 +36,15 @@ from repro.sketch.lshensemble import LSHEnsemble
 from repro.text.tokenizer import name_trigrams, split_identifier
 
 
+class UnresolvedReference(ValueError):
+    """A persisted index section references sketch state the profile does
+    not hold (a missing DE, or a vector that is not the one indexed)."""
+
+    def __init__(self, section: str, cause: Exception):
+        self.section = section
+        super().__init__(f"index section {section!r}: {cause}")
+
+
 class IndexCatalog:
     """All CMDL indexes for one profiled lake."""
 
@@ -264,17 +273,61 @@ class IndexCatalog:
 
     # -------------------------------------------------------- persistence
 
-    #: Structure groups of the catalog, by persistence shape.
-    ENGINES = (
-        "doc_content",
-        "doc_metadata",
-        "column_content",
-        "column_metadata",
-        "column_schema",
-        "column_schema_ngrams",
-    )
-    ENSEMBLES = ("column_containment", "value_containment")
-    FORESTS = ("column_semantic", "doc_solo", "column_solo")
+    #: Every persisted structure, by section name, with its class. The
+    #: joint forests are optional (None before joint training).
+    SECTIONS = {
+        "doc_content": SearchEngine,
+        "doc_metadata": SearchEngine,
+        "column_content": SearchEngine,
+        "column_metadata": SearchEngine,
+        "column_schema": SearchEngine,
+        "column_schema_ngrams": SearchEngine,
+        "column_containment": LSHEnsemble,
+        "value_containment": LSHEnsemble,
+        "column_numeric": IntervalIndex,
+        "column_semantic": RPForestIndex,
+        "doc_solo": RPForestIndex,
+        "column_solo": RPForestIndex,
+        "doc_joint": RPForestIndex,
+        "column_joint": RPForestIndex,
+    }
+
+    #: The one source table: sections whose entries are exact functions of
+    #: a profile sketch, as ``section -> (profile side, sketch attribute)``.
+    #: Their persisted state references the sketch instead of copying it
+    #: (see ``LSHIndex.persistent_state`` / ``RPForestIndex.persistent_state``),
+    #: and restore resolves the references through the restored profile.
+    SKETCH_SOURCES = {
+        "value_containment": ("columns", "join_signature"),
+        "column_containment": ("columns", "signature"),
+        "column_semantic": ("columns", "content_embedding"),
+        "column_solo": ("columns", "encoding"),
+        "doc_solo": ("documents", "encoding"),
+    }
+
+    def _sketch_source(self, name: str):
+        """``key -> sketch value | None`` for a sourced section, else None."""
+        if name not in self.SKETCH_SOURCES:
+            return None
+        side, attribute = self.SKETCH_SOURCES[name]
+        sketches = getattr(self.profile, side)
+
+        def source(key: str):
+            sketch = sketches.get(key)
+            return None if sketch is None else getattr(sketch, attribute)
+
+        return source
+
+    def section_state(self, name: str):
+        """Persisted state of one structure (None for an absent joint
+        forest); sourced sections store references to profile sketches."""
+        structure = getattr(self, name)
+        if structure is None:
+            return None
+        source = self._sketch_source(name)
+        if source is None:
+            return structure.persistent_state()
+        return structure.persistent_state(source)
 
     def persistent_state(self) -> dict:
         state: dict = {
@@ -282,48 +335,37 @@ class IndexCatalog:
             "index_breakdown": dict(self.index_breakdown),
             "text_columns": sorted(self._text_columns),
         }
-        for name in self.ENGINES:
-            state[name] = getattr(self, name).persistent_state()
-        for name in self.ENSEMBLES:
-            state[name] = getattr(self, name).persistent_state()
-        for name in self.FORESTS:
-            state[name] = getattr(self, name).persistent_state()
-        state["column_numeric"] = self.column_numeric.persistent_state()
-        state["doc_joint"] = (
-            None if self.doc_joint is None else self.doc_joint.persistent_state()
-        )
-        state["column_joint"] = (
-            None if self.column_joint is None
-            else self.column_joint.persistent_state()
-        )
+        for name in self.SECTIONS:
+            state[name] = self.section_state(name)
         return state
 
     @classmethod
     def restore_state(cls, profile: Profile, state: dict) -> "IndexCatalog":
         """Rebuild a catalog from persisted per-structure state, bypassing
-        ``__init__`` (which would refit every index from the profile)."""
+        ``__init__`` (which would refit every index from the profile).
+
+        ``profile`` must be the profile the state was saved beside: sourced
+        sections resolve their references through it, and a reference it
+        cannot honour raises :class:`UnresolvedReference`.
+        """
         catalog = cls.__new__(cls)
         catalog.profile = profile
         catalog.seed = state["seed"]
         catalog.index_breakdown = dict(state["index_breakdown"])
         catalog._text_columns = set(state["text_columns"])
-        for name in cls.ENGINES:
-            setattr(catalog, name, SearchEngine.restore_state(state[name]))
-        for name in cls.ENSEMBLES:
-            setattr(catalog, name, LSHEnsemble.restore_state(state[name]))
-        for name in cls.FORESTS:
-            setattr(catalog, name, RPForestIndex.restore_state(state[name]))
-        catalog.column_numeric = IntervalIndex.restore_state(
-            state["column_numeric"]
-        )
-        catalog.doc_joint = (
-            None if state["doc_joint"] is None
-            else RPForestIndex.restore_state(state["doc_joint"])
-        )
-        catalog.column_joint = (
-            None if state["column_joint"] is None
-            else RPForestIndex.restore_state(state["column_joint"])
-        )
+        for name, structure_cls in cls.SECTIONS.items():
+            section = state[name]
+            source = catalog._sketch_source(name)
+            if section is None:
+                structure = None
+            elif source is None:
+                structure = structure_cls.restore_state(section)
+            else:
+                try:
+                    structure = structure_cls.restore_state(section, source)
+                except (KeyError, ValueError) as exc:
+                    raise UnresolvedReference(name, exc) from exc
+            setattr(catalog, name, structure)
         return catalog
 
     # ------------------------------------------------------------- joint

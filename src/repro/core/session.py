@@ -331,21 +331,12 @@ class LakeSession:
         session stays bound to it, journaling every subsequent mutation.
         Later calls checkpoint the bound catalog — folding the journal tail
         into the data tables incrementally — or, given a *different* path,
-        rebind with a fresh full write. Returns the catalog path.
+        close the previous catalog and rebind with a fresh full write.
+        Returns the catalog path.
         """
-        from repro.store import LakeStore
+        from repro.store import save_session
 
-        if self._store is not None and (
-            path is None or Path(path) == self._store.path
-        ):
-            self._store.checkpoint()
-            return self._store.path
-        if path is None:
-            raise ValueError(
-                "this session has no bound catalog; pass save(path=...)"
-            )
-        LakeStore.create(path, self)
-        return self._store.path
+        return save_session(self, path)
 
     def close(self) -> None:
         """Release the bound catalog's file handles (idempotent).

@@ -562,19 +562,9 @@ class ShardedLakeSession(DirectTransport):
         ``path`` and full-writes one file per shard plus a manifest; later
         calls checkpoint the bound catalog incrementally.
         """
-        from repro.store import LakeStore
+        from repro.store import save_session
 
-        if self._store is not None and (
-            path is None or Path(path) == self._store.path
-        ):
-            self._store.checkpoint()
-            return self._store.path
-        if path is None:
-            raise ValueError(
-                "this session has no bound catalog; pass save(path=...)"
-            )
-        LakeStore.create(path, self)
-        return self._store.path
+        return save_session(self, path)
 
     def _journal(self, op: str, payload: dict):
         """Write-ahead journal scope for one mutation (no-op when no

@@ -12,7 +12,66 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.sketch.minhash import MinHashSignature, band_hashes_batch
+from repro.sketch.minhash import MinHashSignature, band_hashes_batch, narrow_values
+
+
+def signature_slab_state(
+    entries: list[tuple[str, MinHashSignature]], source=None
+) -> dict:
+    """Persisted form of ``(key, signature)`` entries, in order.
+
+    An entry whose signature is *identically* ``source(key)`` becomes a
+    reference: its key alone. Every other entry (no source, a key the
+    source does not hold, or a signature the source has since replaced)
+    is explicit and carries its values in one narrowed slab
+    (:func:`~repro.sketch.minhash.narrow_values`) plus its set size.
+    """
+    explicit = [
+        i for i, (key, signature) in enumerate(entries)
+        if source is None or source(key) is not signature
+    ]
+    signatures = [entries[i][1] for i in explicit]
+    if signatures:
+        values = narrow_values(np.stack([s.values for s in signatures]))
+        num_hashes, seed = signatures[0].num_hashes, signatures[0].seed
+    else:
+        values = np.zeros((0, 0), dtype=np.uint32)
+        num_hashes, seed = 0, 0
+    return {
+        "keys": [key for key, _ in entries],
+        "explicit": np.asarray(explicit, dtype=np.int64),
+        "values": values,
+        "set_sizes": np.array([s.set_size for s in signatures], dtype=np.int64),
+        "num_hashes": num_hashes,
+        "seed": seed,
+    }
+
+
+def restore_signature_slab(
+    state: dict, source=None
+) -> list[tuple[str, MinHashSignature]]:
+    """Inverse of :func:`signature_slab_state`: references resolve to the
+    source's own signature objects (shared, as in a live session); a
+    reference the source cannot resolve raises :class:`KeyError`."""
+    values = np.asarray(state["values"], dtype=np.uint64)
+    set_sizes = state["set_sizes"]
+    row_of = {int(i): row for row, i in enumerate(state["explicit"])}
+    entries = []
+    for i, key in enumerate(state["keys"]):
+        row = row_of.get(i)
+        if row is not None:
+            signature = MinHashSignature(
+                values=values[row],
+                set_size=int(set_sizes[row]),
+                num_hashes=state["num_hashes"],
+                seed=state["seed"],
+            )
+        else:
+            signature = None if source is None else source(key)
+            if signature is None:
+                raise KeyError(f"unresolved signature reference {key!r}")
+        entries.append((key, signature))
+    return entries
 
 
 class LSHIndex:
@@ -109,45 +168,28 @@ class LSHIndex:
 
     # -------------------------------------------------------- persistence
 
-    def persistent_state(self) -> dict:
-        """Signatures as one slab; buckets are derived and rebuilt on restore
-        (the band family is process-wide deterministic, so the rebuilt
-        buckets are identical — including per-band insertion order)."""
-        keys = list(self._signatures)
-        signatures = [self._signatures[key] for key in keys]
-        if signatures:
-            values = np.stack([s.values for s in signatures])
-            num_hashes = signatures[0].num_hashes
-            seed = signatures[0].seed
-        else:
-            values = np.zeros((0, 0), dtype=np.uint64)
-            num_hashes = 0
-            seed = 0
+    def persistent_state(self, source=None) -> dict:
+        """Keys plus the signatures that are not references; buckets are
+        derived and rebuilt on restore (the band family is process-wide
+        deterministic, so the rebuilt buckets are identical — including
+        per-band insertion order).
+
+        ``source`` (``key -> MinHashSignature | None``) names where each
+        entry's signature lives outside the index — the profile's sketch.
+        An entry whose signature *is* ``source(key)`` is persisted as a
+        reference and bound back to the source's own object on restore;
+        see :func:`signature_slab_state`. Without a source every entry is
+        explicit.
+        """
         return {
             "num_bands": self.num_bands,
-            "keys": keys,
-            "values": values,
-            "set_sizes": np.array([s.set_size for s in signatures], dtype=np.int64),
-            "num_hashes": num_hashes,
-            "seed": seed,
+            **signature_slab_state(list(self._signatures.items()), source),
         }
 
     @classmethod
-    def restore_state(cls, state: dict) -> "LSHIndex":
+    def restore_state(cls, state: dict, source=None) -> "LSHIndex":
         index = cls(num_bands=state["num_bands"])
-        keys = state["keys"]
-        values = np.asarray(state["values"], dtype=np.uint64)
-        set_sizes = state["set_sizes"]
-        signatures = [
-            MinHashSignature(
-                values=values[i],
-                set_size=int(set_sizes[i]),
-                num_hashes=state["num_hashes"],
-                seed=state["seed"],
-            )
-            for i in range(len(keys))
-        ]
-        index.build_bulk(list(zip(keys, signatures)))
+        index.build_bulk(restore_signature_slab(state, source))
         return index
 
     # -------------------------------------------------------------- query

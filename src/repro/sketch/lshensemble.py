@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 
-from repro.sketch.lsh import LSHIndex
+from repro.sketch.lsh import LSHIndex, restore_signature_slab, signature_slab_state
 from repro.sketch.minhash import MinHashSignature, band_hashes_batch
 
 
@@ -200,18 +200,18 @@ class LSHEnsemble:
 
     # -------------------------------------------------------- persistence
 
-    def persistent_state(self) -> dict:
+    def persistent_state(self, source=None) -> dict:
         """Exact structural state: partition layout and churn counters are
         preserved verbatim so a restored ensemble repartitions at the same
-        future mutation the live one would."""
+        future mutation the live one would. Staged and partitioned entries
+        persist through :func:`~repro.sketch.lsh.signature_slab_state`, so
+        a signature that *is* ``source(key)`` is stored as a reference
+        (see :meth:`LSHIndex.persistent_state`)."""
         return {
             "num_partitions": self.num_partitions,
             "num_bands": self.num_bands,
-            "pending": [
-                (key, signature.persistent_state())
-                for key, signature in self._pending
-            ],
-            "partitions": [p.persistent_state() for p in self._partitions],
+            "pending": signature_slab_state(self._pending, source),
+            "partitions": [p.persistent_state(source) for p in self._partitions],
             "partition_upper": list(self._partition_upper),
             "built": self._built,
             "inserted_since_build": self._inserted_since_build,
@@ -220,16 +220,14 @@ class LSHEnsemble:
         }
 
     @classmethod
-    def restore_state(cls, state: dict) -> "LSHEnsemble":
+    def restore_state(cls, state: dict, source=None) -> "LSHEnsemble":
         ensemble = cls(
             num_partitions=state["num_partitions"], num_bands=state["num_bands"]
         )
-        ensemble._pending = [
-            (key, MinHashSignature.restore_state(s)) for key, s in state["pending"]
-        ]
+        ensemble._pending = restore_signature_slab(state["pending"], source)
         ensemble._pending_keys = {key for key, _ in ensemble._pending}
         ensemble._partitions = [
-            LSHIndex.restore_state(p) for p in state["partitions"]
+            LSHIndex.restore_state(p, source) for p in state["partitions"]
         ]
         ensemble._partition_upper = list(state["partition_upper"])
         ensemble._built = state["built"]

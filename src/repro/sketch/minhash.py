@@ -71,6 +71,21 @@ def _band_family(num_bands: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return family
 
 
+def narrow_values(values: np.ndarray) -> np.ndarray:
+    """``uint64`` signature values as ``uint32`` when every one fits.
+
+    The persisted form of minhash values: all hashes of the family are
+    below :data:`MINHASH_PRIME` (2^31 - 1), so real signatures always
+    narrow; hand-built values >= 2^32 (or of another dtype) are returned
+    unchanged. Readers widen ``uint32`` back to ``uint64`` — exact.
+    """
+    if values.dtype != np.uint64 or (
+        values.size and int(values.max()) > np.iinfo(np.uint32).max
+    ):
+        return values
+    return values.astype(np.uint32)
+
+
 def band_hashes_matrix(values: np.ndarray, num_bands: int) -> np.ndarray:
     """Band-bucket hashes for a whole ``(n, num_hashes)`` signature slab.
 
@@ -316,32 +331,18 @@ class MinHashSignature:
 
     def __getstate__(self) -> dict:
         # The band memo is a derived cache keyed by a process-wide
-        # deterministic family; re-derivable, so never persisted.
+        # deterministic family; re-derivable, so never persisted. Values
+        # travel narrowed (every hash is < MINHASH_PRIME < 2**32).
         state = dict(self.__dict__)
         del state["_band_memo"]
+        state["values"] = narrow_values(self.values)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        if self.values.dtype == np.uint32:
+            self.values = self.values.astype(np.uint64)
         self._band_memo = {}
-
-    def persistent_state(self) -> dict:
-        """The minimal durable state (band memos excluded, recomputable)."""
-        return {
-            "values": self.values,
-            "set_size": self.set_size,
-            "num_hashes": self.num_hashes,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "MinHashSignature":
-        return cls(
-            values=np.asarray(state["values"], dtype=np.uint64),
-            set_size=state["set_size"],
-            num_hashes=state["num_hashes"],
-            seed=state["seed"],
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,16 +9,19 @@ Public surface::
     session = repro.CMDL.load("catalog/")   # equivalent
 
 See :mod:`repro.store.catalog` for the on-disk layout, the write-ahead
-mutation journal, and the incremental checkpoint machinery.
+mutation journal, and the incremental checkpoint machinery;
+``footprint(path)`` reports a saved catalog's bytes per component.
 """
 
 from repro.store.catalog import (
     DEFAULT_CHECKPOINT_EVERY,
     LakeStore,
     ShardDirt,
+    footprint,
     load_catalog,
     replay_shard_journal,
     restore_shard_session,
+    save_session,
 )
 from repro.store.shard import SCHEMA_VERSION, CatalogCorrupt, ShardStore
 
@@ -29,7 +32,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "ShardDirt",
     "ShardStore",
+    "footprint",
     "load_catalog",
     "replay_shard_journal",
     "restore_shard_session",
+    "save_session",
 ]

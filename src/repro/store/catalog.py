@@ -17,6 +17,22 @@ refitting: byte-identical profiles, indexes restored slab-for-slab, and the
 engine's fit-time strategy decisions pinned rather than re-derived against
 whatever the profile has since become.
 
+Every slab is written once. The profile's sketches are the source of truth;
+an index section whose entries are exact functions of a sketch
+(``IndexCatalog.SKETCH_SOURCES``: the two LSH Ensembles and the three solo
+forests) stores a *reference* — the key — in place of a signature or
+vector it shares with the sketch, and restore resolves it through the
+already-restored profile (signatures bind to the sketch's own objects, as
+in the live session; forest rows are one division by the stored norm). This
+rests on one invariant of the dirty tracking below: **a sketch row changes
+only in a checkpoint that also rewrites every index section that references
+it** — column-sketch dirt implies the column index sections, document-sketch
+dirt the document ones (sibling shards included under ``global_stats``). A
+reference that does not resolve on restore raises
+:class:`~repro.store.shard.CatalogCorrupt` naming the file and section;
+it never yields a wrong row. :func:`footprint` reports where a catalog's
+bytes are.
+
 Durability between checkpoints comes from a **write-ahead mutation
 journal**: a bound session appends each mutation (add/update/remove/
 rebalance/refresh) to the owning shard's journal *before* applying it, and
@@ -35,13 +51,13 @@ by identity against the index catalog seen at the previous checkpoint.
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.discovery import DiscoveryEngine
-from repro.core.indexes import IndexCatalog
+from repro.core.indexes import IndexCatalog, UnresolvedReference
 from repro.core.profiler import Profile, Profiler
 from repro.core.session import LakeSession
 from repro.core.sharding import ShardedLakeSession, ShardRouter
@@ -50,7 +66,7 @@ from repro.embed.blended import BlendedEmbedder
 from repro.embed.hashing_embedder import HashingEmbedder
 from repro.embed.ppmi import PPMIEmbedder
 from repro.relational.catalog import DataLake
-from repro.store.shard import SCHEMA_VERSION, ShardStore
+from repro.store.shard import CatalogCorrupt, ShardStore
 from repro.text.pipeline import DocumentPipeline
 
 #: Default mutation count between automatic checkpoints of a bound session.
@@ -186,13 +202,6 @@ def _config_state(config) -> dict:
     }
 
 
-def _index_section_state(indexes: IndexCatalog, name: str):
-    structure = getattr(indexes, name)
-    if structure is None:  # the optional joint forests
-        return None
-    return structure.persistent_state()
-
-
 # ----------------------------------------------------------- shard writing
 
 
@@ -267,7 +276,7 @@ def _write_shard_full(db: ShardStore, session: LakeSession) -> None:
         db.put_sketch(de_id, sketch.kind, sketch)
     indexes = session.indexes
     for name in INDEX_SECTIONS:
-        db.put_state(f"index:{name}", _index_section_state(indexes, name))
+        db.put_state(f"index:{name}", indexes.section_state(name))
     db.put_state("embedder", _embedder_state(session.profiler.embedder))
     db.put_state("pipeline", session.profiler.pipeline.persistent_state())
     db.put_state("config", _config_state(session.cmdl.config))
@@ -308,10 +317,10 @@ def _write_shard_delta(
     indexes = session.indexes
     if dirt.doc_indexes:
         for name in DOC_INDEX_SECTIONS:
-            db.put_state(f"index:{name}", _index_section_state(indexes, name))
+            db.put_state(f"index:{name}", indexes.section_state(name))
     if dirt.col_indexes:
         for name in COL_INDEX_SECTIONS:
-            db.put_state(f"index:{name}", _index_section_state(indexes, name))
+            db.put_state(f"index:{name}", indexes.section_state(name))
     if dirt.all_doc_sketches or dirt.docs or dirt.docs_removed:
         # Document churn refits the df filter (and its pinned copies).
         db.put_state("pipeline", session.profiler.pipeline.persistent_state())
@@ -360,7 +369,13 @@ def _restore_shard(db: ShardStore) -> LakeSession:
     }
     for name in INDEX_SECTIONS:
         index_state[name] = db.get_state(f"index:{name}")
-    indexes = IndexCatalog.restore_state(profile, index_state)
+    try:
+        indexes = IndexCatalog.restore_state(profile, index_state)
+    except UnresolvedReference as exc:
+        raise CatalogCorrupt(
+            f"catalog file {db.path} section 'index:{exc.section}' does not "
+            f"match the file's sketches: {exc}"
+        ) from exc
     joint_model = db.get_state("joint")["model"]
 
     cmdl = CMDL(config)
@@ -907,3 +922,50 @@ def load_catalog(path: str | Path):
     session lands on the exact generation the writer last reached.
     """
     return LakeStore.open(path)
+
+
+def save_session(session, path: str | Path | None = None) -> Path:
+    """Write (or checkpoint) a session's durable catalog — the one body of
+    ``LakeSession.save`` and ``ShardedLakeSession.save``.
+
+    A bound session given no path (or its own) checkpoints in place. Any
+    other path full-writes a fresh catalog and rebinds the session to it;
+    the previous catalog's handles are closed first (the store and the
+    session reference each other, so they would otherwise live until a
+    GC cycle), and its unfolded journal tail stays durable there.
+    """
+    store = session._store
+    if store is not None and (path is None or Path(path) == store.path):
+        store.checkpoint()
+        return store.path
+    if path is None:
+        raise ValueError("this session has no bound catalog; pass save(path=...)")
+    if store is not None:
+        store.close()
+        session._store = None
+    return LakeStore.create(path, session).path
+
+
+def footprint(path: str | Path) -> dict[str, int]:
+    """Where a saved catalog's bytes are, summed over its files.
+
+    Keys: ``lake_tables``, ``lake_documents``, ``sketches`` and ``journal``
+    (pickled payloads), ``state:<section>`` per state section (residual
+    pickle plus slabs), and ``sqlite_overhead`` — the rest of the files'
+    on-disk size (keys, pages, slack), so the values sum to the catalog's
+    size on disk.
+    """
+    path = Path(path)
+    with closing(ShardStore(path / "catalog.sqlite")) as db:
+        num_shards = int(db.get_meta("num_shards", "1"))
+    files = [path / "catalog.sqlite"]
+    files += [path / f"shard-{i:04d}.sqlite" for i in range(num_shards)]
+    sizes: dict[str, int] = {}
+    file_bytes = 0
+    for file in files:
+        with closing(ShardStore(file)) as db:
+            for component, size in db.payload_bytes().items():
+                sizes[component] = sizes.get(component, 0) + size
+            file_bytes += db.file_bytes()
+    sizes["sqlite_overhead"] = file_bytes - sum(sizes.values())
+    return sizes

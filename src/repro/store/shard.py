@@ -7,11 +7,19 @@ single SQLite file in WAL mode holding
 * ``lake_tables`` / ``lake_documents`` — the raw lake rows, pickled, with
   ``rowid`` preserving the live session's dict insertion order (writes are
   DELETE+INSERT, replicating dict move-to-end semantics);
-* ``sketches`` — one pickled :class:`~repro.core.profiler.DESketch` per DE;
+* ``sketches`` — one pickled :class:`~repro.core.profiler.DESketch` per DE
+  (minhash values pickle as ``uint32``, see
+  :func:`~repro.sketch.minhash.narrow_values`);
 * ``state`` + ``arrays`` — named state sections: the residual pickle of a
   ``persistent_state()`` dict plus its extracted numpy slabs as typed blobs
   (see :mod:`repro.store.codec`);
 * ``journal`` — the write-ahead mutation tail since the last checkpoint.
+
+Schema version 2 stores every slab once: an index section whose entries are
+exact functions of a sketch (minhash signatures, normalised solo vectors,
+RP-forest split planes) keeps only keys, norms and tree structure and
+refers to the ``sketches`` rows of the same file for the values. A version
+1 file (index sections carrying their own copies) is refused, not read.
 
 The wrapper stays dumb on purpose: it moves payloads, it does not know what
 a profile or an index is. Orchestration lives in
@@ -26,7 +34,7 @@ from pathlib import Path
 from repro.store import codec
 
 #: Bumped on any incompatible layout change; a mismatch refuses to open.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CatalogCorrupt(ValueError):
@@ -273,6 +281,26 @@ class ShardStore:
                 f"catalog file {self.path} failed SQLite quick_check: "
                 + "; ".join(findings)
             )
+
+    def payload_bytes(self) -> dict[str, int]:
+        """Payload bytes per component of this file: the pickled payloads
+        of each row table, and per state section its residual plus its
+        slabs (``state:<section>``). What :meth:`file_bytes` holds beyond
+        their sum is SQLite's own: keys, page and index structure, slack."""
+        sizes = {}
+        for table in ("lake_tables", "lake_documents", "sketches", "journal"):
+            (sizes[table],) = self.conn.execute(
+                f"SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM {table}"
+            ).fetchone()
+        for section, size in self.conn.execute(
+            "SELECT section, LENGTH(payload) FROM state"
+        ):
+            sizes[f"state:{section}"] = size
+        for section, size in self.conn.execute(
+            "SELECT section, SUM(LENGTH(data)) FROM arrays GROUP BY section"
+        ):
+            sizes[f"state:{section}"] = sizes.get(f"state:{section}", 0) + size
+        return sizes
 
     def commit(self) -> None:
         self.conn.commit()

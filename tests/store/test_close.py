@@ -4,6 +4,8 @@ single-shard restore entry point the serving workers boot through."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.session import open_lake
 from repro.relational.table import Table
 from repro.store import ShardStore, restore_shard_session
@@ -73,6 +75,41 @@ class TestCloseDurability:
                 assert reopened.discover(query).items == items
         finally:
             reopened.close()
+
+
+class TestRebindClosesPreviousCatalog:
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_save_elsewhere_closes_old_store(self, toy_lake, tmp_path, shards):
+        """save(p1); mutate; save(p2): p1's handles are released at the
+        rebind (not at some later GC cycle), and p1 still reopens to the
+        state the session had when it moved on — its journal tail
+        included."""
+        kwargs = {"shards": shards, "global_stats": True} if shards else {}
+        session = open_lake(_copy_lake(toy_lake), _config(), **kwargs)
+        session.save(tmp_path / "p1")
+        old = session._store
+        session.add_table(Table.from_dict("rebind_probe", {
+            "probe_id": ["R1", "R2"], "value": [1, 2],
+        }))
+        expected = {
+            q: session.discover(q).items for q in _workload(session.profile)
+        }
+        session.save(tmp_path / "p2")
+        try:
+            assert session._store is not old
+            assert session._store.path == tmp_path / "p2"
+            assert old.catalog_db._closed
+            assert all(db._closed for db in old.shard_dbs)
+        finally:
+            session.close()
+        for path in (tmp_path / "p1", tmp_path / "p2"):
+            reopened = open_lake(path)
+            try:
+                assert "rebind_probe" in reopened.profile.table_columns
+                for query, items in expected.items():
+                    assert reopened.discover(query).items == items
+            finally:
+                reopened.close()
 
 
 class TestRestoreShardSession:
