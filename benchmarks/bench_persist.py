@@ -5,7 +5,7 @@ a durable artifact: ``session.save(path)`` writes one SQLite catalog per
 shard, and ``open_lake(path)`` rebuilds the exact session — profiles,
 signature slabs, index postings, embedder state — without re-profiling a
 single table. This bench measures that trade on Pharma-1B and the ~10x
-scaled lake (same derivation as bench_fit.py):
+scaled lake (nine derived unionable tables per base table):
 
 * **cold fit** — ``open_lake(lake, config)``: profile + embed + index.
 * **save** — full catalog write of the fitted session.
@@ -58,8 +58,8 @@ def _timed(fn):
 def _config() -> CMDLConfig:
     # The full default stack, joint model included: a cold refit pays
     # embedder + joint training and every index build — exactly the work
-    # a reopen avoids. (bench_fit.py disables the joint model because it
-    # measures the fit pipeline itself; here the refit cost is the point.)
+    # a reopen avoids. (The end-to-end benchmark disables the joint model;
+    # here the refit cost is the point.)
     return CMDLConfig()
 
 

@@ -45,11 +45,7 @@ def main() -> None:
     # (bag building / sketching / embedding / index build / training),
     # plus a per-structure split of the index stage and a per-kernel
     # split of the embed stage, so a slow fit is attributable to one
-    # structure or kernel sub-stage. CMDLConfig(fit_workers=N) warms the
-    # embed caches in parallel — fit_embed_backend="process" forks real
-    # worker processes on multi-core hosts — with byte-identical output
-    # at any worker count on either backend; non-fatal degradations
-    # (e.g. process falling back to threads) land in fit_stats.warnings.
+    # structure or kernel sub-stage.
     print(f"  fit stages: {cmdl.fit_stats.summary()}")
     breakdown = cmdl.fit_stats.index_breakdown
     print("  index stage by structure: "
@@ -58,8 +54,6 @@ def main() -> None:
     embed = cmdl.fit_stats.embed_breakdown
     print("  embed stage by kernel: "
           + " ".join(f"{k}={v * 1000:.0f}ms" for k, v in embed.items()))
-    for note in cmdl.fit_stats.warnings:
-        print(f"  fit warning: {note}")
 
     # Each discovery step is a declarative query; engine.discover plans it
     # (validation + indexed/exact strategy choice) and executes it.

@@ -7,27 +7,24 @@ Leaves hold at most ``leaf_size`` points. A query descends every tree with a
 shared max-heap prioritised by margin distance, collecting at least
 ``search_k`` candidates, which are then re-ranked exactly by cosine.
 
-Two planting backends share one split rule:
-
-* ``"array"`` (default) — level-synchronous planting into flat CSR-style
-  node arrays (children / plane / offset / leaf spans); queries walk the
-  arrays with no object graph in the hot path.
-* ``"nodes"`` — the recursive ``_Node`` builder, kept as the parity oracle.
+Trees are planted level-synchronously into flat CSR-style node arrays
+(children / plane / offset / leaf spans); queries walk the arrays with no
+object graph in the hot path.
 
 Every node draws its randomness from its *position* — a splitmix64-style
 hash of ``(seed, tree, heap-path)``, no per-node Generator construction in
-the hot path — and both backends project candidate rows with
-the same ``matrix[idx] @ normal`` GEMV expression, so the two plant
-bit-identical trees and answer queries with identical keys in identical
-order. (A stacked GEMM over a whole level is NOT bitwise equal to per-plane
-GEMV on this BLAS; reassociating the reduction could flip the side of a
-point sitting on a split boundary, which is why projections stay per-node.)
+the hot path — and candidate rows are projected with one
+``matrix[idx] @ normal`` GEMV per node, so a recursive depth-first planter
+using the same split rule plants bit-identical trees (the parity suite
+keeps one as its reference). (A stacked GEMM over a whole level is NOT
+bitwise equal to per-plane GEMV on this BLAS; reassociating the reduction
+could flip the side of a point sitting on a split boundary, which is why
+projections stay per-node.)
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +59,6 @@ def _reference_rows(keys: list[str], norms: np.ndarray, source) -> np.ndarray:
     return stacked / norms[:, None]
 
 
-@dataclass
-class _Node:
-    """Internal split node or leaf of one RP tree (``"nodes"`` backend)."""
-
-    # Leaf: indexes is set, normal/offset/children are None.
-    indexes: list[int] | None = None
-    normal: np.ndarray | None = None
-    offset: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.indexes is not None
-
-
 class RPForestIndex:
     """Forest of random-projection trees with exact candidate re-ranking.
 
@@ -101,19 +82,15 @@ class RPForestIndex:
         num_trees: int = 8,
         leaf_size: int = 16,
         seed: int = 0,
-        backend: str = "array",
     ):
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         if num_trees <= 0 or leaf_size <= 1:
             raise ValueError("num_trees must be >=1 and leaf_size >= 2")
-        if backend not in ("array", "nodes"):
-            raise ValueError(f"backend must be 'array' or 'nodes', got {backend!r}")
         self.dim = dim
         self.num_trees = num_trees
         self.leaf_size = leaf_size
         self.seed = seed
-        self.backend = backend
         self._keys: list[str] = []
         self._rows: list[np.ndarray] = []
         #: Per row, the divisor that normalised it: ``row == vector / norm``
@@ -121,8 +98,6 @@ class RPForestIndex:
         self._norms: list[float] = []
         self._matrix: np.ndarray | None = None
         self._planted = False
-        # "nodes" backend: one root _Node per tree.
-        self._trees: list[_Node] = []
         self._clear_arrays()
         #: Live key -> row index (tombstoned rows have no entry here).
         self._key_pos: dict[str, int] = {}
@@ -174,21 +149,13 @@ class RPForestIndex:
             self._key_pos = {k: i for i, k in enumerate(self._keys)}
             self._deleted_idx = set()
         self._fresh = set()
-        self._trees = []
         self._clear_arrays()
         if not self._rows:
             self._matrix = np.zeros((0, self.dim))
             self._planted = True
             return self
         self._matrix = np.vstack(self._rows)
-        if self.backend == "nodes":
-            all_indexes = list(range(len(self._keys)))
-            self._trees = [
-                self._build_node(all_indexes, tree, path=1, depth=0)
-                for tree in range(self.num_trees)
-            ]
-        else:
-            self._plant_arrays()
+        self._plant_arrays()
         self._planted = True
         return self
 
@@ -243,8 +210,8 @@ class RPForestIndex:
         ``path`` is the heap-style position id (root 1, children ``2p`` /
         ``2p+1``): a node's randomness depends only on where it sits, never
         on the order the builder visits nodes in — which is what lets the
-        level-synchronous array builder and the recursive oracle plant
-        bit-identical trees. Integer mixing (splitmix64) instead of a
+        level-synchronous builder and a recursive one plant bit-identical
+        trees. Integer mixing (splitmix64) instead of a
         ``default_rng`` per node keeps planting out of Generator
         construction, which dominated the build at lake scale.
         """
@@ -257,8 +224,8 @@ class RPForestIndex:
         """Sample one node's splitting hyperplane: the perpendicular bisector
         of two distinct sampled points (random plane if they coincide).
 
-        ``indexes`` may be a list (nodes backend) or an int array (array
-        backend); both hit identical scalar arithmetic. Also returns the
+        ``indexes`` may be a list or an int array; both hit identical
+        scalar arithmetic. Also returns the
         plane's provenance ``(a, b, norm)`` — matrix rows and divisor with
         ``normal == (matrix[a] - matrix[b]) / norm`` — with ``a == b == -1``
         for a random plane, which only its own values can reproduce.
@@ -285,23 +252,6 @@ class RPForestIndex:
         offset = float(normal @ midpoint)
         return normal, offset, provenance
 
-    def _build_node(self, indexes: list[int], tree: int, path: int, depth: int) -> _Node:
-        """Recursive oracle builder (``"nodes"`` backend)."""
-        if len(indexes) <= self.leaf_size or depth > self.MAX_DEPTH:
-            return _Node(indexes=list(indexes))
-        normal, offset, _ = self._split_plane(indexes, tree, path)
-        projections = self._matrix[indexes] @ normal - offset
-        left_idx = [ix for ix, s in zip(indexes, projections) if s <= 0]
-        right_idx = [ix for ix, s in zip(indexes, projections) if s > 0]
-        if not left_idx or not right_idx:
-            return _Node(indexes=list(indexes))
-        return _Node(
-            normal=normal,
-            offset=offset,
-            left=self._build_node(left_idx, tree, 2 * path, depth + 1),
-            right=self._build_node(right_idx, tree, 2 * path + 1, depth + 1),
-        )
-
     def _plant_arrays(self) -> None:
         """Plant all trees level-synchronously into flat node arrays.
 
@@ -309,9 +259,9 @@ class RPForestIndex:
         entries for one depth at a time; splits partition index *arrays*
         with boolean masks (no per-element Python), and leaves append their
         spans to one flat ``_leaf_items`` vector CSR-style. Projections are
-        the same ``matrix[idx] @ normal`` GEMV the oracle uses — see the
-        module docstring for why that, plus position-keyed randomness,
-        makes the two backends bit-identical.
+        one ``matrix[idx] @ normal`` GEMV per node — see the module
+        docstring for why that, plus position-keyed randomness, makes the
+        planting order irrelevant.
         """
         n = self._matrix.shape[0]
         left: list[int] = []
@@ -391,7 +341,7 @@ class RPForestIndex:
         )
 
     def _clear_arrays(self) -> None:
-        """Empty the ``"array"`` backend's planted state. Children are node
+        """Empty the planted state. Children are node
         ids (-1 = leaf); internal nodes carry a row of ``_planes`` plus an
         offset; leaves carry a [start, end) span into ``_leaf_items``.
         ``_plane_pairs`` / ``_plane_norms`` record where each plane came
@@ -425,7 +375,7 @@ class RPForestIndex:
         Restore recomputes references with one vectorised division, which
         is correctly rounded and so identical on any BLAS.
 
-        Planes: an array-backend plane is ``(matrix[a] - matrix[b]) /
+        Planes: a split plane is ``(matrix[a] - matrix[b]) /
         norm`` for its recorded ``(a, b, norm)`` (see :meth:`_split_plane`)
         and is derived on restore; only random fallback planes (coincident
         sample points) are stored.
@@ -456,7 +406,6 @@ class RPForestIndex:
             "num_trees": self.num_trees,
             "leaf_size": self.leaf_size,
             "seed": self.seed,
-            "backend": self.backend,
             "keys": list(self._keys),
             "norms": norms,
             "explicit": np.flatnonzero(explicit),
@@ -465,7 +414,6 @@ class RPForestIndex:
             "planted": self._planted,
             "fresh": sorted(self._fresh),
             "deleted_idx": sorted(self._deleted_idx),
-            "trees": self._trees,
             "tree_roots": list(self._tree_roots),
             "node_left": self._node_left,
             "node_right": self._node_right,
@@ -491,7 +439,6 @@ class RPForestIndex:
             num_trees=state["num_trees"],
             leaf_size=state["leaf_size"],
             seed=state["seed"],
-            backend=state["backend"],
         )
         n, dim = state["n"], state["dim"]
         index._keys = list(state["keys"])
@@ -523,7 +470,6 @@ class RPForestIndex:
         index._planted = state["planted"]
         index._fresh = set(state["fresh"])
         index._deleted_idx = set(state["deleted_idx"])
-        index._trees = state["trees"]
         index._tree_roots = list(state["tree_roots"])
         index._node_left = np.asarray(state["node_left"], dtype=np.int32)
         index._node_right = np.asarray(state["node_right"], dtype=np.int32)
@@ -568,25 +514,6 @@ class RPForestIndex:
             candidates.update(items[starts[node]:ends[node]].tolist())
         return candidates
 
-    def _walk_nodes(self, q: np.ndarray, budget: int) -> set[int]:
-        """Candidate row ids from the ``_Node`` trees (parity oracle walk)."""
-        candidates: set[int] = set()
-        heap: list[tuple[float, int, _Node]] = []
-        counter = 0
-        for tree in self._trees:
-            heapq.heappush(heap, (-np.inf, counter, tree))
-            counter += 1
-        while heap and len(candidates) < budget:
-            _, _, node = heapq.heappop(heap)
-            while not node.is_leaf:
-                margin = float(node.normal @ q - node.offset)
-                near, far = (node.left, node.right) if margin <= 0 else (node.right, node.left)
-                heapq.heappush(heap, (-abs(margin), counter, far))
-                counter += 1
-                node = near
-            candidates.update(node.indexes)
-        return candidates
-
     def query(
         self,
         vector: np.ndarray,
@@ -598,9 +525,9 @@ class RPForestIndex:
 
         ``search_k`` is the candidate budget (default: ``k * num_trees * 4``,
         matching Annoy's rule of thumb); higher values trade speed for recall.
-        Both backends explore the most promising branch across all trees
-        first via a shared priority queue over (negative margin, tiebreak,
-        node), like Annoy.
+        The walk explores the most promising branch across all trees first
+        via a shared priority queue over (negative margin, tiebreak, node),
+        like Annoy.
         """
         if self._matrix is None or (not self._planted and self._rows):
             self.build()
@@ -611,10 +538,7 @@ class RPForestIndex:
         q = vector / norm if norm > 0 else np.asarray(vector, dtype=float)
         budget = search_k if search_k is not None else max(k * self.num_trees * 4, k)
 
-        if self.backend == "nodes":
-            candidates = self._walk_nodes(q, budget)
-        else:
-            candidates = self._walk_arrays(q, budget)
+        candidates = self._walk_arrays(q, budget)
         # Fresh (not-yet-planted) points are always scanned exactly, ON TOP
         # of the tree budget (they must not starve the tree walk), so
         # incremental inserts lose no recall between re-plants.

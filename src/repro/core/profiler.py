@@ -21,17 +21,16 @@ single ``embed_words`` call with per-DE pooling done by row-indexing the
 shared matrix. The per-item routines (:meth:`profile_one` and friends)
 remain the delta path of lake sessions and produce byte-identical sketches
 — ``profile(lake, batched=False)`` drives the whole fit through them, which
-is what the parity suite and the legacy-vs-batched benchmark compare.
+is what the parity suite compares against.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import sys
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,61 +56,35 @@ COLUMN = "column"
 TOKEN_MEMO_MAX = 1 << 16
 
 
-def _vocab_chunks(words: list[str], workers: int) -> list[list[str]]:
-    """Split a vocabulary into at most ``workers`` contiguous chunks."""
-    size = max(1, -(-len(words) // workers))
-    return [words[i : i + size] for i in range(0, len(words), size)]
+_switch_lock = threading.Lock()
+_switch_depth = 0
+_switch_saved = 0.0
 
 
-def _thread_safe_embedder(embedder) -> bool:
-    """True for embedders whose caches tolerate concurrent ``embed_words``.
+@contextmanager
+def _training_switch_interval():
+    """Shorten the GIL switch interval to 0.5 ms for the block.
 
-    Only our own embedders make that promise (the subword bucket table is
-    lock-guarded; blended/PPMI cache fills are idempotent); an arbitrary
-    user embedder is warmed sequentially instead.
+    Fits run concurrently (a sharded session fits its shards on a thread
+    pool), so the interval is process-wide state shared by overlapping
+    blocks: a lock-guarded depth count lets the first block in save and
+    shorten it and the last one out restore it. Saving per block would
+    let a later block save an earlier one's short value and restore that
+    last.
     """
-    from repro.embed.blended import BlendedEmbedder
-    from repro.embed.hashing_embedder import HashingEmbedder
-
-    return isinstance(embedder, (BlendedEmbedder, HashingEmbedder))
-
-
-def _process_warmable(embedder, warnings_sink: list[str]) -> bool:
-    """True when ``embedder`` can warm in worker processes.
-
-    Requires the cache-fill protocol (``cache_fills`` computes a chunk and
-    returns its picklable fills; ``merge_cache_fills`` merges them back)
-    and a picklable instance. A failed check degrades to the thread path
-    with a one-line note, never an error: the process backend is a
-    scheduling optimisation, not a semantic switch.
-    """
-    if not (
-        hasattr(embedder, "cache_fills") and hasattr(embedder, "merge_cache_fills")
-    ):
-        warnings_sink.append(
-            "process embed backend: embedder lacks the cache-fill protocol; "
-            "falling back to threads"
-        )
-        return False
+    global _switch_depth, _switch_saved
+    with _switch_lock:
+        if _switch_depth == 0:
+            _switch_saved = sys.getswitchinterval()
+            sys.setswitchinterval(0.0005)
+        _switch_depth += 1
     try:
-        pickle.dumps(embedder)
-    except Exception as exc:
-        warnings_sink.append(
-            f"process embed backend: embedder failed to pickle "
-            f"({type(exc).__name__}); falling back to threads"
-        )
-        return False
-    return True
-
-
-def _warm_embedder_chunk(embedder, chunk: list[str]) -> dict:
-    """Process-pool warm task: embed one vocabulary chunk in a worker.
-
-    The worker gets a cold pickled copy of the embedder, warms its own
-    caches, and ships the per-word fills back for the parent to merge —
-    the warm-then-assemble protocol across a process boundary.
-    """
-    return embedder.cache_fills(chunk)
+        yield
+    finally:
+        with _switch_lock:
+            _switch_depth -= 1
+            if _switch_depth == 0:
+                sys.setswitchinterval(_switch_saved)
 
 
 def _kernel_snapshot(embedder) -> dict[str, float] | None:
@@ -136,14 +109,11 @@ class FitStats:
     * ``train_seconds`` — labeling + joint-model training (0 without joint).
     * ``total_seconds`` — the whole fit, end to end.
 
-    The legacy (per-item) fit path interleaves bag building, sketching,
-    and per-DE embedding, so there ``embed_seconds`` carries only the
-    embedder-training time and everything else is lumped into
-    ``profile_seconds`` (``sketch_seconds`` stays 0).
-
-    With ``CMDLConfig.fit_workers > 1`` the embed warm-up runs underneath
-    the sketch stage, so ``embed_seconds`` reports only the non-overlapped
-    remainder (join + matrix assembly + pooling).
+    The per-item oracle (``Profiler.profile(lake, batched=False)``)
+    interleaves bag building, sketching, and per-DE embedding, so there
+    ``embed_seconds`` carries only the embedder-training time and
+    everything else is lumped into ``profile_seconds`` (``sketch_seconds``
+    stays 0).
 
     ``index_breakdown`` splits ``index_seconds`` by structure group
     (value_containment / schema / numeric / semantic / keyword build
@@ -153,16 +123,10 @@ class FitStats:
 
     ``embed_breakdown`` does the same for the embed stage: ``grams`` /
     ``route`` / ``draw`` / ``pool`` are the slab-kernel sub-stage seconds
-    accrued by the fit's embed work (wherever scheduled — the overlapped
-    warm-up counts too, and the process backend sums worker-side kernel
-    seconds, so with parallel workers the kernel total can exceed the
-    stage's wall clock), and ``train_overlap`` is the wall time the embed
-    stage spent blocked on the background embedder-training join. Zero
-    kernel entries for a custom embedder without the slab kernel.
-
-    ``warnings`` collects non-fatal fit degradations — today, the process
-    embed backend falling back to threads (unpicklable embedder, missing
-    cache-fill protocol, unusable start method). Empty on a clean fit.
+    accrued by the fit's embed work, and ``train_overlap`` is the wall
+    time the embed stage spent blocked on the background embedder-training
+    join. Zero kernel entries for a custom embedder without the slab
+    kernel.
     """
 
     profile_seconds: float = 0.0
@@ -173,7 +137,6 @@ class FitStats:
     total_seconds: float = 0.0
     index_breakdown: dict[str, float] = field(default_factory=dict)
     embed_breakdown: dict[str, float] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -309,8 +272,6 @@ class Profiler:
         embedder=None,
         pipeline: DocumentPipeline | None = None,
         seed: int = 0,
-        workers: int = 1,
-        embed_backend: str = "thread",
     ):
         if pooling not in POOLERS:
             raise ValueError(f"unknown pooling {pooling!r}; expected {list(POOLERS)}")
@@ -323,25 +284,6 @@ class Profiler:
         self.pipeline = pipeline or DocumentPipeline(max_doc_frequency=max_doc_frequency)
         self.embedder = embedder  # resolved lazily in profile() if None
         self.seed = seed
-        #: Worker count of the batched fit's embed stage (0/1 = sequential).
-        #: Workers warm per-word embedding caches in vocabulary chunks,
-        #: overlapping the sketch stage; the matrix is then assembled by one
-        #: ordinary ``embed_words`` call over the warm caches, so the output
-        #: is byte-identical to the sequential path at any worker count.
-        self.workers = max(1, workers)
-        #: "thread" (default) or "process". The thread backend shares one
-        #: embedder under the GIL (wins only where the kernel releases it);
-        #: the process backend ships cold embedder copies to forked workers
-        #: and merges their cache fills, so the warm-up truly overlaps on
-        #: multi-core hosts. Degrades to threads (with a note in
-        #: ``FitStats.warnings``) when the platform or embedder can't
-        #: support it.
-        if embed_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown embed_backend {embed_backend!r}; "
-                "expected 'thread' or 'process'"
-            )
-        self.embed_backend = embed_backend
         #: Per-fit string -> fingerprint cache shared by every signature of
         #: the fit; reset by :meth:`profile`, reused by the delta path.
         self.fingerprints = FingerprintCache(seed)
@@ -411,8 +353,7 @@ class Profiler:
 
         ``batched=True`` (the default) runs the vectorised batch pipeline;
         ``batched=False`` runs the per-item delta routines over the whole
-        lake — same output byte for byte, kept as the parity oracle and
-        benchmark baseline.
+        lake — same output byte for byte, kept as the parity oracle.
         """
         self.fingerprints = FingerprintCache(self.seed)
         self._token_memo = {}
@@ -447,47 +388,6 @@ class Profiler:
         profile.fit_stats.profile_seconds = t_docs.elapsed + t_cols.elapsed
         return profile
 
-    def _start_process_pool(self, warnings_sink: list[str]):
-        """Start (and fully spawn) the process-backend embed warm pool.
-
-        Called before the training thread exists: forking a multi-threaded
-        process can clone held allocator/BLAS locks into the child, so
-        under the fork start method every worker is forced to fork *now*,
-        while the process is still single-threaded. Any failure degrades
-        to the thread path with a note, never an error.
-        """
-        try:
-            context = multiprocessing.get_context("fork")
-            prefork = True
-        except ValueError:
-            try:
-                context = multiprocessing.get_context("spawn")
-                prefork = False
-            except ValueError:
-                warnings_sink.append(
-                    "process embed backend: no usable start method; "
-                    "falling back to threads"
-                )
-                return None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-            if prefork:
-                # Each submit forks a fresh worker while the previous ones
-                # are still busy sleeping, so all forks happen here.
-                for future in [
-                    pool.submit(time.sleep, 0.02) for _ in range(self.workers)
-                ]:
-                    future.result()
-        except Exception as exc:
-            warnings_sink.append(
-                f"process embed backend: pool failed to start "
-                f"({type(exc).__name__}); falling back to threads"
-            )
-            return None
-        return pool
-
     def _profile_batched(self, lake: DataLake) -> Profile:
         """Batch-first fit: stage-at-a-time over the whole lake."""
         profile = Profile()
@@ -496,22 +396,11 @@ class Profiler:
         tables = list(lake.tables)
         columns = [column for table in tables for column in table.columns]
 
-        # ---- process-backend warm pool, forked while the process is still
-        # single-threaded (see _start_process_pool); an explicit embedder
-        # must support the cache-fill protocol or we stay on threads
-        process_pool = None
-        if self.workers > 1 and self.embed_backend == "process":
-            if self.embedder is None or _process_warmable(
-                self.embedder, stats.warnings
-            ):
-                process_pool = self._start_process_pool(stats.warnings)
-
         # ---- embedder training kicked off first: the PPMI component's
         # heavy lifting releases the GIL, so it overlaps the bag-building
         # and sketch stages below (and warms the cell-token memo those
         # stages then hit). Arithmetic is identical to the sequential
         # build — the thread changes scheduling, not bytes.
-        switch_interval = None
         with Timer() as t_corpora:
             training = None
             if self.embedder is None:
@@ -526,103 +415,41 @@ class Profiler:
                     dim=self.embedding_dim,
                     seed=self.seed,
                 )
-                # While the training thread is live, shorten the GIL switch
-                # interval: the PROPACK solver re-acquires the GIL on every
-                # sparse matvec callback, and under the default 5 ms
-                # interval the Python-heavy bag loops starve it — on one
-                # core the unabsorbed training then bleeds into the embed
-                # stage's wall. Scheduling only; bytes are unaffected.
-                switch_interval = sys.getswitchinterval()
-                sys.setswitchinterval(0.0005)
-
-        try:
-            return self._profile_batched_stages(
-                lake, profile, stats, documents, tables, columns,
-                training, process_pool, t_corpora,
-            )
-        finally:
-            if switch_interval is not None:
-                sys.setswitchinterval(switch_interval)
-
-    def _profile_batched_stages(
-        self, lake, profile, stats, documents, tables, columns,
-        training, process_pool, t_corpora,
-    ) -> Profile:
-        """Bags -> sketch -> embed -> assembly (body of the batched fit)."""
-        # ---- bags: pipeline, tokenisation, metadata, tags, numeric stats
-        with Timer() as t_docs:
-            doc_contents = self.pipeline.fit_transform([d.text for d in documents])
-            doc_metas = []
-            for document in documents:
-                meta_terms = Counter(tokenize(document.title))
-                if document.source:
-                    meta_terms.update(tokenize(document.source))
-                doc_metas.append(BagOfWords(meta_terms))
-        with Timer() as t_cols:
-            col_tags = [tag_column(column) for column in columns]
-            col_contents = [BagOfWords(self._column_tokens(c)) for c in columns]
-            col_metas = []
-            for column in columns:
-                meta_terms = Counter(split_identifier(column.name))
-                meta_terms.update(split_identifier(column.table_name))
-                col_metas.append(BagOfWords(meta_terms))
-            col_numeric = [
-                numeric_stats(column.numeric_values) if tags.numeric_profile else None
-                for column, tags in zip(columns, col_tags)
-            ]
-        stats.profile_seconds = t_docs.elapsed + t_cols.elapsed
-
-        # ---- union vocabulary, computed *before* sketching so the embed
-        # warm-up below can run on workers underneath the sketch pass
-        with Timer() as t_union:
-            union: set[str] = set()
-            for bows in (doc_contents, doc_metas, col_contents, col_metas):
-                for bow in bows:
-                    union.update(bow.terms)
-            words = sorted(union)
-
-        # With workers > 1, warm per-word embedding caches in vocabulary
-        # chunks while the sketch stage runs: cache fills are idempotent
-        # and order-independent, and the matrix itself is assembled
-        # afterwards by one ordinary embed_words call over the warm caches
-        # — identical bytes to the sequential path, overlapped wall-clock.
-        # Thread workers share the embedder under its locks; process
-        # workers each warm a cold pickled copy and the parent merges their
-        # fills. Before the blended embedder exists only its subword
-        # component can be warmed; an explicit embedder is warmed only when
-        # it is one of ours (an arbitrary user embedder makes no
-        # thread-safety promises).
-        warm_target = (
-            training.subword if training is not None
-            else self.embedder if _thread_safe_embedder(self.embedder)
-            else None
-        )
         kernel_source = training.subword if training is not None else self.embedder
         kernel_before = _kernel_snapshot(kernel_source)
-        pool = warm_futures = process_futures = None
-        if self.workers > 1 and words and warm_target is not None:
-            chunks = _vocab_chunks(words, self.workers)
-            if process_pool is not None:
-                try:
-                    process_futures = [
-                        process_pool.submit(_warm_embedder_chunk, warm_target, chunk)
-                        for chunk in chunks
-                    ]
-                except Exception as exc:
-                    stats.warnings.append(
-                        f"process embed backend: submit failed "
-                        f"({type(exc).__name__}); falling back to threads"
-                    )
-                    process_futures = None
-            if process_futures is None:
-                warm = getattr(warm_target, "warm_words", warm_target.embed_words)
-                pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="fit-embed"
-                )
-                warm_futures = [pool.submit(warm, chunk) for chunk in chunks]
-
         train_overlap = 0.0
-        try:
+
+        # While the training thread is live, shorten the GIL switch
+        # interval: the PROPACK solver re-acquires the GIL on every sparse
+        # matvec callback, and under the default 5 ms interval the
+        # Python-heavy bag loops starve it — on one core the unabsorbed
+        # training then bleeds into the embed stage's wall. Scheduling
+        # only; bytes are unaffected.
+        with _training_switch_interval() if training is not None else nullcontext():
+            # ---- bags: pipeline, tokenisation, metadata, tags, numeric stats
+            with Timer() as t_docs:
+                doc_contents = self.pipeline.fit_transform([d.text for d in documents])
+                doc_metas = []
+                for document in documents:
+                    meta_terms = Counter(tokenize(document.title))
+                    if document.source:
+                        meta_terms.update(tokenize(document.source))
+                    doc_metas.append(BagOfWords(meta_terms))
+            with Timer() as t_cols:
+                col_tags = [tag_column(column) for column in columns]
+                col_contents = [BagOfWords(self._column_tokens(c)) for c in columns]
+                col_metas = []
+                for column in columns:
+                    meta_terms = Counter(split_identifier(column.name))
+                    meta_terms.update(split_identifier(column.table_name))
+                    col_metas.append(BagOfWords(meta_terms))
+                col_numeric = [
+                    numeric_stats(column.numeric_values)
+                    if tags.numeric_profile else None
+                    for column, tags in zip(columns, col_tags)
+                ]
+            stats.profile_seconds = t_docs.elapsed + t_cols.elapsed
+
             # ---- sketch: every signature of the fit in one batched pass
             with Timer() as t_sketch:
                 sets: list = [bow.vocabulary for bow in doc_contents]
@@ -639,37 +466,18 @@ class Profiler:
 
             # ---- embed: one union-vocabulary pass + per-DE pooled slices
             with Timer() as t_embed:
-                if process_futures is not None:
-                    try:
-                        fills = [future.result() for future in process_futures]
-                    except Exception as exc:
-                        stats.warnings.append(
-                            f"process embed warm-up failed "
-                            f"({type(exc).__name__}: {exc}); embedding in-process"
-                        )
-                    else:
-                        for fill in fills:
-                            warm_target.merge_cache_fills(fill)
-                if warm_futures is not None:
-                    for future in warm_futures:
-                        future.result()
+                union: set[str] = set()
+                for bows in (doc_contents, doc_metas, col_contents, col_metas):
+                    for bow in bows:
+                        union.update(bow.terms)
+                words = sorted(union)
                 if training is not None:
-                    if pool is None and process_futures is None:
-                        # Warm the subword table for the whole fit vocabulary
-                        # while the distributional model finishes its thread.
-                        training.subword.warm_words(words)
+                    # Warm the subword table for the whole fit vocabulary
+                    # while the distributional model finishes its thread.
+                    training.subword.warm_words(words)
                     join_start = time.perf_counter()
                     self.embedder = training.result()
                     train_overlap = time.perf_counter() - join_start
-                    if pool is not None:
-                        # The blended cache can only warm now that the
-                        # distributional component exists; the subword table
-                        # underneath is already hot from the overlapped pass.
-                        for future in [
-                            pool.submit(self.embedder.warm_words, chunk)
-                            for chunk in _vocab_chunks(words, self.workers)
-                        ]:
-                            future.result()
                 matrix = self.embedder.embed_words(words)
                 position = {word: i for i, word in enumerate(words)}
                 position_of = position.__getitem__
@@ -694,22 +502,11 @@ class Profiler:
                         pooled_memo[key] = vec
                     return vec
 
-                if pool is not None:
-                    doc_content_emb = list(pool.map(pooled, doc_contents))
-                    doc_meta_emb = list(pool.map(pooled, doc_metas))
-                    col_content_emb = list(pool.map(pooled, col_contents))
-                    col_meta_emb = list(pool.map(pooled, col_metas))
-                else:
-                    doc_content_emb = [pooled(bow) for bow in doc_contents]
-                    doc_meta_emb = [pooled(bow) for bow in doc_metas]
-                    col_content_emb = [pooled(bow) for bow in col_contents]
-                    col_meta_emb = [pooled(bow) for bow in col_metas]
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            if process_pool is not None:
-                process_pool.shutdown(wait=True, cancel_futures=True)
-        stats.embed_seconds = t_corpora.elapsed + t_union.elapsed + t_embed.elapsed
+                doc_content_emb = [pooled(bow) for bow in doc_contents]
+                doc_meta_emb = [pooled(bow) for bow in doc_metas]
+                col_content_emb = [pooled(bow) for bow in col_contents]
+                col_meta_emb = [pooled(bow) for bow in col_metas]
+        stats.embed_seconds = t_corpora.elapsed + t_embed.elapsed
         kernel_after = _kernel_snapshot(self.embedder)
         breakdown = {"grams": 0.0, "route": 0.0, "draw": 0.0, "pool": 0.0}
         if kernel_after is not None:

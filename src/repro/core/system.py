@@ -75,33 +75,6 @@ class CMDLConfig:
     #: "joinable" / "unionable" / "pkfk", values as discovery_strategy.
     operator_strategies: dict[str, str] = field(default_factory=dict)
 
-    #: Fit pipeline: "batched" (the default) assembles bags lake-wide, then
-    #: computes every minhash signature in one vectorised pass over a shared
-    #: fingerprint cache, embeds the union vocabulary once, and bulk-builds
-    #: every index; "legacy" drives the whole fit through the per-item delta
-    #: routines. Output is byte-identical either way — "legacy" is the
-    #: parity oracle and the baseline of ``benchmarks/bench_fit.py``.
-    fit_mode: str = "batched"
-
-    #: Worker count of the batched fit's embed stage. Workers warm the
-    #: embedder's per-word caches in vocabulary chunks overlapped with the
-    #: sketch stage; output is byte-identical at any setting (0/1 = the
-    #: sequential path). Distinct from the ``fit_workers`` argument of
-    #: :meth:`CMDL.open`, which sizes the *per-shard* fit pool of a sharded
-    #: session; this knob parallelises inside one fit.
-    fit_workers: int = 1
-
-    #: Embed warm-up backend when ``fit_workers > 1``: "thread" (default)
-    #: shares one embedder across worker threads — overlap is limited to
-    #: the kernel's GIL-releasing spans; "process" forks workers that each
-    #: warm a cold copy of the embedder on a vocabulary chunk and ship
-    #: their per-word cache fills back to be merged, so the warm-up truly
-    #: runs in parallel on multi-core hosts. Falls back to the thread path
-    #: (noted in ``FitStats.warnings``) when the platform lacks a usable
-    #: start method or the embedder doesn't pickle. Output is
-    #: byte-identical across backends and worker counts.
-    fit_embed_backend: str = "thread"
-
     #: Document pipeline override. ``None`` builds the default
     #: :class:`~repro.text.pipeline.DocumentPipeline` per fit. The sharded
     #: lake passes per-shard pipelines pinned to the corpus-wide df filter
@@ -156,16 +129,6 @@ class CMDL:
         # out, rather than deep inside the discovery stack after profiling.
         validate_strategy(cfg.discovery_strategy)
         validate_operator_strategies(cfg.operator_strategies)
-        if cfg.fit_mode not in ("batched", "legacy"):
-            raise ValueError(
-                f"unknown fit_mode {cfg.fit_mode!r}; expected 'batched' or 'legacy'"
-            )
-        if cfg.fit_embed_backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown fit_embed_backend {cfg.fit_embed_backend!r}; "
-                "expected 'thread' or 'process'"
-            )
-        batched = cfg.fit_mode == "batched"
         with Timer() as t_total:
             self.profiler = Profiler(
                 embedding_dim=cfg.embedding_dim,
@@ -174,13 +137,11 @@ class CMDL:
                 embedder=cfg.embedder,
                 pipeline=cfg.document_pipeline,
                 seed=cfg.seed,
-                workers=cfg.fit_workers,
-                embed_backend=cfg.fit_embed_backend,
             )
-            self.profile = self.profiler.profile(lake, batched=batched)
+            self.profile = self.profiler.profile(lake)
             with Timer() as t_index:
                 self.indexes = IndexCatalog(
-                    self.profile, ranker=cfg.ranker, seed=cfg.seed, bulk=batched
+                    self.profile, ranker=cfg.ranker, seed=cfg.seed, bulk=True
                 )
 
             with Timer() as t_train:
@@ -234,6 +195,9 @@ class CMDL:
         :class:`~repro.core.sharding.ShardedLakeSession` instead: shards
         fit concurrently on a thread pool, mutations route to the owning
         shard, and SRQL queries scatter-gather across shards.
+        ``fit_workers`` sizes that per-shard fit pool, which also runs
+        ``refresh()`` and query scatter (default: one worker per shard,
+        capped at the host's cores; 1 runs shards serially).
         ``global_stats=True`` merges document-frequency / BM25 corpus
         statistics across shards for byte-parity with a monolithic fit
         (see the sharding module docs for the freshness trade-off).

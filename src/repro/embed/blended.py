@@ -84,16 +84,6 @@ class BlendedEmbedder:
             self._blend_pending(pending)
         return np.vstack([cache[w] for w in lowered])
 
-    def warm_words(self, words: list[str]) -> None:
-        """Fill the blended cache without assembling the stacked matrix
-        (the overlapped fit warm-up only needs the cache side effect)."""
-        cache = self._cache
-        pending = list(dict.fromkeys(
-            w for w in (word.lower() for word in words) if w not in cache
-        ))
-        if pending:
-            self._blend_pending(pending)
-
     def _blend_pending(self, pending: list[str]) -> None:
         """Blend uncached (lowercased, deduped) words into the cache."""
         dim = self.dim
@@ -132,29 +122,6 @@ class BlendedEmbedder:
         if n1 == 0 or n2 == 0:
             return 0.0
         return float(np.dot(v1, v2) / (n1 * n2))
-
-    # ---------------------------------------------- process-pool warm-up
-
-    def cache_fills(self, words: list[str]) -> dict:
-        """Embed ``words`` and return the picklable cache fills (blended
-        vectors plus the subword component's own fills), for the process-
-        backend warm-up — see :meth:`HashingEmbedder.cache_fills`."""
-        self.embed_words(words)
-        cache = self._cache
-        lowered = dict.fromkeys(w.lower() for w in words)
-        return {
-            "vectors": {w: cache[w] for w in lowered},
-            "subword": self.subword.cache_fills(list(lowered)),
-        }
-
-    def merge_cache_fills(self, fills: dict) -> None:
-        """Merge one :meth:`cache_fills` result (idempotent fills only)."""
-        cache = self._cache
-        for word, vec in fills["vectors"].items():
-            cache.setdefault(word, vec)
-        subword_fills = fills.get("subword")
-        if subword_fills:
-            self.subword.merge_cache_fills(subword_fills)
 
     # -------------------------------------------------------- persistence
 

@@ -80,10 +80,13 @@ class HashingEmbedder:
         self._bucket_row: dict[int, int] = {}
         self._table = np.zeros((0, dim))
         self._table_len = 0
-        #: Serialises table growth: the parallel embed warm-up calls
-        #: ``embed_words`` from several threads, and concurrent draws must
-        #: not hand two buckets the same row slot. Row *content* is a pure
-        #: function of the bucket id, so assignment order stays irrelevant.
+        #: Serialises table growth. Query paths never embed (they read the
+        #: stored sketch embeddings) and a sharded session deep-copies its
+        #: embedder per shard, but one instance passed in the configs of
+        #: fits or sessions running on different threads is embedded from
+        #: all of them, and concurrent draws must not hand two buckets the
+        #: same row slot. Row *content* is a pure function of the bucket
+        #: id, so assignment order stays irrelevant.
         self._table_lock = threading.Lock()
         #: Cumulative kernel seconds per batched-embed sub-stage (grams =
         #: slab assembly, route = gram -> bucket -> row resolution, draw =
@@ -223,7 +226,7 @@ class HashingEmbedder:
         if not missing_set:
             return
         with self._table_lock:
-            # Re-check under the lock: a concurrent warm thread may have
+            # Re-check under the lock: a concurrent caller may have
             # drawn some of these buckets between the test above and here.
             missing = sorted(b for b in missing_set if b not in row_of)
             if not missing:
@@ -359,9 +362,9 @@ class HashingEmbedder:
     def warm_words(self, words: list[str]) -> None:
         """Fill the word cache without assembling the stacked matrix.
 
-        The overlapped fit warm-up only needs the cache side effect of
-        :meth:`embed_words`; skipping the final vstack saves one full-
-        vocabulary copy per warm pass.
+        The fit warms the subword table while the distributional model
+        trains and only needs the cache side effect of :meth:`embed_words`;
+        skipping the final vstack saves one full-vocabulary copy.
         """
         cache = self._cache
         pending = list(dict.fromkeys(
@@ -382,46 +385,6 @@ class HashingEmbedder:
         for word, vec in zip(pending, vectors):
             cache[word] = vec
         self._tick("pool", start)
-
-    # ---------------------------------------------- process-pool warm-up
-
-    def cache_fills(self, words: list[str]) -> dict:
-        """Embed ``words`` and return the resulting cache fills, picklable.
-
-        The process-backend embed warm-up ships a cold copy of the embedder
-        to each worker, calls this on the worker's vocabulary chunk, and
-        merges the returned fills into the parent with
-        :meth:`merge_cache_fills` — the warm-then-assemble protocol over
-        process boundaries. Kernel seconds ride along so the fit breakdown
-        can account for work done in workers.
-        """
-        self.warm_words(words)
-        cache = self._cache
-        lowered = dict.fromkeys(w.lower() for w in words)
-        return {
-            "vectors": {w: cache[w] for w in lowered},
-            "gram_buckets": dict(self._gram_bucket),
-            "kernel_seconds": dict(self.kernel_seconds),
-        }
-
-    def merge_cache_fills(self, fills: dict) -> None:
-        """Merge one :meth:`cache_fills` result into this instance.
-
-        Fills are idempotent and order-independent: vectors and gram routes
-        are pure functions of (dim, seed), so merging the same word from
-        two workers writes the same bytes.
-        """
-        cache = self._cache
-        for word, vec in fills["vectors"].items():
-            cache.setdefault(word, vec)
-        self._gram_bucket.update(fills.get("gram_buckets", {}))
-        kernel = fills.get("kernel_seconds")
-        if kernel:
-            with self._kernel_lock:
-                for stage, seconds in kernel.items():
-                    self.kernel_seconds[stage] = (
-                        self.kernel_seconds.get(stage, 0.0) + seconds
-                    )
 
     def similarity(self, w1: str, w2: str) -> float:
         """Cosine similarity between two word vectors."""

@@ -386,7 +386,6 @@ def _restore_shard(db: ShardStore) -> LakeSession:
         embedder=embedder,
         pipeline=pipeline,
         seed=config.seed,
-        workers=config.fit_workers,
     )
     cmdl.profile = profile
     cmdl.indexes = indexes

@@ -10,8 +10,8 @@ strings, dicts, dataclasses, Counters) pickles compactly, and each array is
 stored as a ``(dtype, shape, bytes)`` triple via :func:`encode_array`.
 :func:`join_arrays` is the exact inverse.
 
-Arrays nested inside *objects* (e.g. a pickled tree-node graph kept as
-residual state) stay inside the residual pickle — the split only walks
+Arrays nested inside *objects* (e.g. a dataclass kept as residual state)
+stay inside the residual pickle — the split only walks
 dicts, lists and tuples, which is where every ``persistent_state()`` slab
 lives by convention.
 """

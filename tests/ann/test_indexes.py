@@ -138,6 +138,17 @@ class TestRPForest:
 
         assert build() == build()
 
+    def test_restore_ignores_retired_state_keys(self, forest, points):
+        # Catalogs saved while the forest had a second planting layout
+        # carry "backend" / "trees" keys; restore must read around them.
+        state = forest.persistent_state()
+        assert "backend" not in state and "trees" not in state
+        restored = RPForestIndex.restore_state(
+            {**state, "backend": "array", "trees": []}
+        )
+        for i in (0, 77, 199):
+            assert restored.query(points[i], k=5) == forest.query(points[i], k=5)
+
 
 class TestRPForestMutation:
     def _built(self, points, n=80):

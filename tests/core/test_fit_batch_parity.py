@@ -1,8 +1,9 @@
 """Batch == per-item parity for the vectorised fit pipeline.
 
-The batched cold fit (``CMDLConfig.fit_mode="batched"``, the default) must
-produce *byte-identical* output to driving the whole fit through the
-per-item delta routines (``fit_mode="legacy"``): every bag, signature,
+The batched cold fit must produce *byte-identical* output to driving the
+whole fit through the per-item delta routines
+(``Profiler.profile(lake, batched=False)`` + ``IndexCatalog(bulk=False)``,
+the oracle :func:`per_item_fit` assembles): every bag, signature,
 embedding, value set, and index structure. These tests pin that contract on
 all three seed lakes plus the handcrafted edge cases (empty sets,
 all-missing columns, duplicate-heavy values), and pin the fit output itself
@@ -12,13 +13,19 @@ against a recorded fingerprint so silent drift in either path fails loudly.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import sys
+import threading
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.ann.rpforest import RPForestIndex
+from repro.core.discovery import DiscoveryEngine
 from repro.core.indexes import IndexCatalog
-from repro.core.profiler import Profiler
+from repro.core.profiler import Profiler, _training_switch_interval
 from repro.core.system import CMDL, CMDLConfig
 from repro.embed.blended import BlendedEmbedder
 from repro.embed.hashing_embedder import HashingEmbedder
@@ -46,6 +53,39 @@ def assert_sketch_equal(a, b) -> None:
     assert a.numeric == b.numeric
     assert a.tags == b.tags
     assert a.table_name == b.table_name and a.column_name == b.column_name
+
+
+def per_item_fit(lake: DataLake, cfg: CMDLConfig) -> CMDL:
+    """``CMDL.fit`` (no joint model) driven through the per-item routines:
+    the profile from ``profile(batched=False)``, every index from
+    per-item inserts (``bulk=False``)."""
+    cmdl = CMDL(cfg)
+    cmdl.profiler = Profiler(
+        embedding_dim=cfg.embedding_dim,
+        num_hashes=cfg.num_hashes,
+        pooling=cfg.pooling,
+        embedder=cfg.embedder,
+        pipeline=cfg.document_pipeline,
+        seed=cfg.seed,
+    )
+    cmdl.profile = cmdl.profiler.profile(lake, batched=False)
+    cmdl.indexes = IndexCatalog(
+        cmdl.profile, ranker=cfg.ranker, seed=cfg.seed, bulk=False
+    )
+    cmdl.engine = DiscoveryEngine(
+        profile=cmdl.profile,
+        indexes=cmdl.indexes,
+        joint_model=None,
+        uniqueness={c.qualified_name: c.uniqueness for c in lake.columns},
+        pkfk_params={
+            "containment_threshold": cfg.pkfk_containment_threshold,
+            "name_threshold": cfg.pkfk_name_threshold,
+            "key_uniqueness_threshold": cfg.pkfk_key_uniqueness,
+        },
+        strategy=cfg.discovery_strategy,
+        operator_strategies=cfg.operator_strategies,
+    )
+    return cmdl
 
 
 def assert_profiles_equal(a, b) -> None:
@@ -192,10 +232,6 @@ class TestProfileParity:
         assert stats["total_seconds"] > 0
         assert all(v >= 0 for v in stats.values())
         assert cmdl.fit_stats.summary().startswith("profile=")
-
-    def test_bad_fit_mode_rejected(self, edge_lake):
-        with pytest.raises(ValueError, match="fit_mode"):
-            CMDL(CMDLConfig(fit_mode="bogus")).fit(edge_lake)
 
 
 class TestIndexStateParity:
@@ -345,8 +381,7 @@ class TestEndToEndParity:
 
         batched = CMDL(CMDLConfig(use_joint=False, seed=0))
         batched.fit(pharma_lake_m)
-        legacy = CMDL(CMDLConfig(use_joint=False, seed=0, fit_mode="legacy"))
-        legacy.fit(pharma_lake_m)
+        legacy = per_item_fit(pharma_lake_m, CMDLConfig(use_joint=False, seed=0))
         assert_profiles_equal(batched.profile, legacy.profile)
         tables = sorted(batched.profile.table_columns)[:4]
         for table in tables:
@@ -410,8 +445,7 @@ class TestPinnedFitFingerprint:
         assert fit_output_fingerprint(fitted) == self.FULL_DIGEST
 
     def test_legacy_mode_same_fingerprint(self, pin_lake, fitted):
-        legacy = CMDL(CMDLConfig(use_joint=False, seed=0, fit_mode="legacy"))
-        legacy.fit(pin_lake)
+        legacy = per_item_fit(pin_lake, CMDLConfig(use_joint=False, seed=0))
         assert fit_output_fingerprint(legacy) == fit_output_fingerprint(fitted)
 
 
@@ -500,19 +534,117 @@ class TestColumnarBandKernel:
         assert bulk.query(probe, k=5) == single.query(probe, k=5)
 
 
-class TestForestBackendParity:
-    """Array-backed planting must equal the recursive ``_Node`` oracle.
+@dataclass
+class RefNode:
+    """Split node or leaf of one reference RP tree."""
 
-    Identical *query output* — same keys, same order — not just overlapping
-    candidate sets: both backends plant bit-identical trees from the
-    position-keyed per-node RNG, so every walk visits the same leaves.
+    # Leaf: indexes is set, normal/offset/children are None.
+    indexes: list[int] | None = None
+    normal: np.ndarray | None = None
+    offset: float = 0.0
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.indexes is not None
+
+
+def plant_reference_trees(forest: RPForestIndex) -> list[RefNode]:
+    """Plant the forest's trees recursively, depth first, over its planted
+    matrix: the reference the level-synchronous array layout must equal.
+    Splits go through the forest's own ``_split_plane`` (position-keyed
+    randomness), projected with the same per-node GEMV."""
+
+    def plant(indexes: list[int], tree: int, path: int, depth: int) -> RefNode:
+        if len(indexes) <= forest.leaf_size or depth > forest.MAX_DEPTH:
+            return RefNode(indexes=list(indexes))
+        normal, offset, _ = forest._split_plane(indexes, tree, path)
+        projections = forest._matrix[indexes] @ normal - offset
+        left = [ix for ix, s in zip(indexes, projections) if s <= 0]
+        right = [ix for ix, s in zip(indexes, projections) if s > 0]
+        if not left or not right:
+            return RefNode(indexes=list(indexes))
+        return RefNode(
+            normal=normal,
+            offset=offset,
+            left=plant(left, tree, 2 * path, depth + 1),
+            right=plant(right, tree, 2 * path + 1, depth + 1),
+        )
+
+    all_indexes = list(range(forest._matrix.shape[0]))
+    return [plant(all_indexes, tree, 1, 0) for tree in range(forest.num_trees)]
+
+
+def assert_layout_matches(forest: RPForestIndex, trees: list[RefNode]) -> None:
+    """Every array node equals its reference node: same plane and offset
+    bits at splits, same row ids in the same order at leaves."""
+    assert len(forest._tree_roots) == len(trees)
+    stack = list(zip(forest._tree_roots, trees))
+    while stack:
+        node, ref = stack.pop()
+        if ref.is_leaf:
+            assert forest._node_left[node] == -1
+            start, end = forest._leaf_start[node], forest._leaf_end[node]
+            assert forest._leaf_items[start:end].tolist() == ref.indexes
+            continue
+        plane = forest._planes[forest._node_plane[node]]
+        assert np.array_equal(plane, ref.normal)
+        assert forest._node_offset[node] == ref.offset
+        stack.append((forest._node_left[node], ref.left))
+        stack.append((forest._node_right[node], ref.right))
+
+
+def reference_query(forest: RPForestIndex, trees: list[RefNode], vector, k: int):
+    """``RPForestIndex.query`` over the reference trees: the shared-heap
+    walk, fresh rows scanned exactly, tombstones filtered, exact re-rank."""
+    norm = np.linalg.norm(vector)
+    q = vector / norm if norm > 0 else np.asarray(vector, dtype=float)
+    budget = max(k * forest.num_trees * 4, k)
+    candidates: set[int] = set()
+    heap: list[tuple[float, int, RefNode]] = []
+    counter = 0
+    for tree in trees:
+        heapq.heappush(heap, (-np.inf, counter, tree))
+        counter += 1
+    while heap and len(candidates) < budget:
+        _, _, node = heapq.heappop(heap)
+        while not node.is_leaf:
+            margin = float(node.normal @ q - node.offset)
+            near, far = (
+                (node.left, node.right) if margin <= 0 else (node.right, node.left)
+            )
+            heapq.heappush(heap, (-abs(margin), counter, far))
+            counter += 1
+            node = near
+        candidates.update(node.indexes)
+    candidates.update(forest._fresh)
+    planted = forest._matrix.shape[0]
+    scored = []
+    for idx in candidates:
+        if idx in forest._deleted_idx:
+            continue
+        row = forest._matrix[idx] if idx < planted else forest._rows[idx]
+        scored.append((forest._keys[idx], float(row @ q)))
+    scored.sort(key=lambda kv: (-kv[1], kv[0]))
+    return scored[:k]
+
+
+class TestForestBackendParity:
+    """The array forest must equal the recursive reference planter.
+
+    Identical layout and identical *query output* — same keys, same order —
+    not just overlapping candidate sets: position-keyed per-node randomness
+    makes depth-first and level-synchronous planting bit-identical, so
+    every walk visits the same leaves.
     """
 
     @staticmethod
-    def _pair(entries, dim, **kw):
-        array = RPForestIndex(dim=dim, backend="array", **kw).build_bulk(entries)
-        nodes = RPForestIndex(dim=dim, backend="nodes", **kw).build_bulk(entries)
-        return array, nodes
+    def _checked(entries, dim, **kw):
+        forest = RPForestIndex(dim=dim, **kw).build_bulk(entries)
+        trees = plant_reference_trees(forest)
+        assert_layout_matches(forest, trees)
+        return forest, trees
 
     def test_random_points_identical(self):
         rng = np.random.default_rng(3)
@@ -520,14 +652,14 @@ class TestForestBackendParity:
         vecs[5] = vecs[17]  # duplicate rows force the degenerate-plane path
         vecs[40] = 0.0
         entries = [(f"p{i}", v) for i, v in enumerate(vecs)]
-        array, nodes = self._pair(
+        forest, trees = self._checked(
             entries, dim=12, num_trees=6, leaf_size=8, seed=0
         )
         queries = [rng.standard_normal(12) for _ in range(20)]
         queries += [np.zeros(12), vecs[5]]
         for q in queries:
             for k in (1, 5, 20):
-                assert array.query(q, k=k) == nodes.query(q, k=k)
+                assert forest.query(q, k=k) == reference_query(forest, trees, q, k)
 
     @pytest.mark.parametrize("lake_fixture", [
         "pharma_lake_m", "ukopen_lake_m", "mlopen_lake_m",
@@ -538,56 +670,40 @@ class TestForestBackendParity:
         sketches = {**profile.documents, **profile.columns}
         entries = [(de_id, s.encoding) for de_id, s in sorted(sketches.items())]
         dim = entries[0][1].shape[0]
-        array, nodes = self._pair(entries, dim=dim, seed=0)
+        forest, trees = self._checked(entries, dim=dim, seed=0)
         for de_id, vec in entries:
-            assert array.query(vec, k=10) == nodes.query(vec, k=10), de_id
+            assert forest.query(vec, k=10) == reference_query(
+                forest, trees, vec, 10
+            ), de_id
 
     def test_mutation_keeps_backends_aligned(self):
         rng = np.random.default_rng(11)
         entries = [(f"p{i}", rng.standard_normal(8)) for i in range(80)]
-        array, nodes = self._pair(
+        forest, trees = self._checked(
             entries, dim=8, num_trees=4, leaf_size=4, seed=2
         )
+        # Below the re-plant bar: the trees stay, a fresh row and a
+        # tombstone ride on top of them.
         extra = rng.standard_normal(8)
-        for index in (array, nodes):
-            index.insert("extra", extra)
-            index.delete("p3")
+        forest.insert("extra", extra)
+        forest.delete("p3")
+        assert forest._fresh and forest._deleted_idx
         for q in (rng.standard_normal(8), extra):
-            assert array.query(q, k=8) == nodes.query(q, k=8)
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            RPForestIndex(dim=4, backend="bogus")
+            assert forest.query(q, k=8) == reference_query(forest, trees, q, 8)
+        # Past it: the forest re-plants over the compacted rows.
+        added = 0
+        while forest._fresh:
+            forest.insert(f"x{added}", rng.standard_normal(8))
+            added += 1
+        assert not forest._deleted_idx and forest._matrix.shape[0] == 80 + added
+        trees = plant_reference_trees(forest)
+        assert_layout_matches(forest, trees)
+        for q in (rng.standard_normal(8), extra):
+            assert forest.query(q, k=8) == reference_query(forest, trees, q, 8)
 
 
 class TestParallelEmbedParity:
-    """The pooled embed stage must be byte-identical to the sequential one."""
-
-    def test_workers_match_sequential_default_embedder(self, pin_lake):
-        base = Profiler(embedding_dim=24, num_hashes=64, seed=0).profile(pin_lake)
-        pooled = Profiler(
-            embedding_dim=24, num_hashes=64, seed=0, workers=4
-        ).profile(pin_lake)
-        assert_profiles_equal(base, pooled)
-
-    def test_workers_match_sequential_explicit_embedder(self, edge_lake):
-        def profiler(workers):
-            return Profiler(
-                embedding_dim=16,
-                num_hashes=32,
-                embedder=HashingEmbedder(dim=16, seed=0),
-                seed=0,
-                workers=workers,
-            )
-
-        assert_profiles_equal(
-            profiler(1).profile(edge_lake), profiler(4).profile(edge_lake)
-        )
-
-    def test_fit_workers_knob_keeps_pinned_fingerprint(self, pin_lake):
-        cmdl = CMDL(CMDLConfig(use_joint=False, seed=0, fit_workers=3))
-        cmdl.fit(pin_lake)
-        assert fit_output_fingerprint(cmdl) == TestPinnedFitFingerprint.FULL_DIGEST
+    """Every fit attributes its index and embed stages."""
 
     def test_index_breakdown_recorded(self, pin_lake):
         cmdl = CMDL(CMDLConfig(use_joint=False, seed=0))
@@ -613,69 +729,45 @@ class TestParallelEmbedParity:
         assert "embed_breakdown" not in cmdl.fit_stats.as_dict()
 
 
-class TestProcessEmbedBackend:
-    """The process warm-up backend is a scheduling change only: identical
-    bytes at any worker count, graceful thread fallback when it can't run."""
+class TestSwitchInterval:
+    """A default-embedder fit shortens the GIL switch interval while its
+    embedder trains; concurrent fits must still leave it as they found it."""
 
-    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
-    def test_worker_counts_keep_pinned_fingerprint(self, pin_lake, workers):
-        cmdl = CMDL(CMDLConfig(
-            use_joint=False, seed=0,
-            fit_workers=workers, fit_embed_backend="process",
-        ))
-        cmdl.fit(pin_lake)
-        assert fit_output_fingerprint(cmdl) == TestPinnedFitFingerprint.FULL_DIGEST
+    def test_overlapping_blocks_restore_on_last_exit(self):
+        before = sys.getswitchinterval()
+        first, second = _training_switch_interval(), _training_switch_interval()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)  # exits out of order
+        assert sys.getswitchinterval() == 0.0005
+        second.__exit__(None, None, None)
+        assert sys.getswitchinterval() == before
 
-    def test_explicit_embedder_matches_thread_backend(self, edge_lake):
-        def profiler(backend):
-            return Profiler(
-                embedding_dim=16,
-                num_hashes=32,
-                embedder=HashingEmbedder(dim=16, seed=0),
-                seed=0,
-                workers=2,
-                embed_backend=backend,
-            )
+    def test_many_threads_restore_interval(self):
+        before = sys.getswitchinterval()
+        inside: list[float] = []
 
-        process = profiler("process").profile(edge_lake)
-        thread = profiler("thread").profile(edge_lake)
-        assert_profiles_equal(process, thread)
+        def churn():
+            for _ in range(200):
+                with _training_switch_interval():
+                    time.sleep(0.0001)  # releases the GIL mid-block
+                    inside.append(sys.getswitchinterval())
 
-    def test_unpicklable_embedder_falls_back_with_warning(self, edge_lake):
-        embedder = HashingEmbedder(dim=16, seed=0)
-        embedder._unpicklable = lambda: None  # lambdas don't pickle
-        profiler = Profiler(
-            embedding_dim=16, num_hashes=32, embedder=embedder,
-            seed=0, workers=2, embed_backend="process",
-        )
-        profile = profiler.profile(edge_lake)
-        assert any(
-            "falling back to threads" in note
-            for note in profile.fit_stats.warnings
-        )
-        base = Profiler(
-            embedding_dim=16, num_hashes=32,
-            embedder=HashingEmbedder(dim=16, seed=0), seed=0,
-        ).profile(edge_lake)
-        assert_profiles_equal(base, profile)
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(inside) == 8 * 200 and set(inside) == {0.0005}
+        assert sys.getswitchinterval() == before
 
-    def test_protocol_check_names_the_gap(self):
-        from repro.core.profiler import _process_warmable
-
-        class NoProtocol:
-            pass
-
-        sink: list[str] = []
-        assert not _process_warmable(NoProtocol(), sink)
-        assert "cache-fill protocol" in sink[0]
-
-    def test_clean_fit_has_no_warnings(self, pin_lake):
-        cmdl = CMDL(CMDLConfig(use_joint=False, seed=0, fit_workers=2))
-        cmdl.fit(pin_lake)
-        assert cmdl.fit_stats.warnings == []
-
-    def test_bad_backend_rejected(self, edge_lake):
-        with pytest.raises(ValueError, match="embed_backend"):
-            Profiler(embed_backend="bogus")
-        with pytest.raises(ValueError, match="fit_embed_backend"):
-            CMDL(CMDLConfig(fit_embed_backend="bogus")).fit(edge_lake)
+    def test_concurrent_shard_fits_restore_interval(self, pharma_lake_m):
+        before = sys.getswitchinterval()
+        with CMDL(CMDLConfig(use_joint=False, seed=0)).open(
+            pharma_lake_m, shards=2, fit_workers=2
+        ) as session:
+            assert session._pool is not None
+            assert sys.getswitchinterval() == before
+            session.refresh()
+            assert sys.getswitchinterval() == before
