@@ -38,6 +38,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from repro.core.discovery import DiscoveryEngine
+from repro.core.mutation import check_mutation
 from repro.core.profiler import DESketch
 from repro.core.system import CMDL, CMDLConfig
 from repro.relational.catalog import DataLake, Document
@@ -236,11 +237,7 @@ class LakeSession:
 
     def add_document(self, document: Document) -> None:
         """Add one document (re-syncing df-filtered bags), invalidate."""
-        with self._journal("add_documents", {"documents": [document]}):
-            self.lake.add_document(document)
-            self._resync_documents()
-            self._track_post_fit(self.profile.documents[document.doc_id])
-            self._commit()
+        self.add_documents([document])
 
     def add_documents(self, documents: list[Document]) -> None:
         """Add several documents with a single re-sync and invalidation."""
@@ -263,16 +260,12 @@ class LakeSession:
             if self.lake.has_table(name):
                 self._unregister_table(name)
                 self.lake.remove_table(name)
-            elif self.lake.has_document(name):
+            else:
                 self.indexes.remove_document(name)
                 self.profile.drop_one(name)
                 self.lake.remove_document(name)
                 self._untrack_post_fit(name)
                 self._resync_documents()
-            else:
-                raise KeyError(
-                    f"lake {self.lake.name!r} has no table or document {name!r}"
-                )
             self._commit()
 
     def update_table(self, table: Table) -> None:
@@ -282,11 +275,6 @@ class LakeSession:
         raises ``KeyError`` if no table of that name exists.
         """
         with self._journal("update_table", {"table": table}):
-            if table.name not in self.lake.table_names:
-                raise KeyError(
-                    f"lake {self.lake.name!r} has no table {table.name!r} "
-                    "to update"
-                )
             self._unregister_table(table.name)
             self.lake.remove_table(table.name)
             self.lake.add_table(table)
@@ -379,8 +367,9 @@ class LakeSession:
         self.close()
 
     def _journal(self, op: str, payload: dict):
-        """Write-ahead journal scope for one mutation (no-op when no
-        catalog is bound)."""
+        """Validate one mutation against this session's profile, then open
+        its write-ahead journal scope (a no-op when no catalog is bound)."""
+        check_mutation(op, payload, self.profile, self.lake.name)
         if self._store is None:
             return nullcontext()
         return self._store.journal_scope(op, payload)

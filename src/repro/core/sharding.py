@@ -16,7 +16,10 @@ arXiv:2204.11275):
   on a thread pool through the batched fit pipeline, routes every mutation
   to the owning shard (per-shard generation counters; mutations never
   re-sketch or re-index sibling shards), and exposes the same public
-  surface as a monolithic session. For reads the session *is* the
+  surface as a monolithic session. Mutations are validated and planned by
+  :func:`~repro.core.mutation.plan_mutation` — the plan a process-backed
+  :class:`~repro.serve.LakeServer` executes too — and the session runs
+  the plan directly. For reads the session *is* the
   in-process transport (:class:`~repro.core.scatter.DirectTransport`) of
   :class:`~repro.core.scatter.ScatterGatherExecutor` — the executor a
   :class:`~repro.serve.LakeServer` runs over thread- or process-hosted
@@ -68,6 +71,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.discovery import DiscoveryEngine, DiscoveryResultSet
+from repro.core.mutation import apply_mutation, plan_mutation
 from repro.core.result_cache import ResultCache
 from repro.core.scatter import (
     DirectTransport,
@@ -424,73 +428,45 @@ class ShardedLakeSession(DirectTransport):
 
     def add_table(self, table) -> None:
         """Add one table to its owning shard (sibling shards untouched)."""
-        with self._journal("add_table", {"table": table}):
-            shard = self.shards[self.router.shard_of(table.name)]
-            shard.add_table(table)
-            self._ensure_stats_wiring()
+        self._mutate("add_table", {"table": table})
 
     def update_table(self, table) -> None:
         """Replace an existing table in place on its owning shard."""
-        with self._journal("update_table", {"table": table}):
-            shard = self.shards[self.router.shard_of(table.name)]
-            if table.name not in shard.lake.table_names:
-                raise KeyError(
-                    f"lake {self.name!r} has no table {table.name!r} to update"
-                )
-            shard.update_table(table)
-            self._ensure_stats_wiring()
+        self._mutate("update_table", {"table": table})
 
     def add_document(self, document: Document) -> None:
-        """Add one document to its owning shard.
-
-        In global-stats mode the corpus-wide df filter is recomputed first
-        (including the new document) and any sibling documents whose bag
-        drifted under the new filter are re-synced — the byte-parity
-        counterpart of a monolithic session's own re-sync.
-        """
+        """Add one document to its owning shard (see :meth:`add_documents`)."""
         self.add_documents([document])
 
     def add_documents(self, documents: list[Document]) -> None:
-        """Add several documents, each routed to its owning shard."""
-        if not documents:
-            return
-        with self._journal("add_documents", {"documents": list(documents)}):
-            by_owner: dict[int, list[Document]] = {}
-            for document in documents:
-                by_owner.setdefault(
-                    self.router.shard_of(document.doc_id), []
-                ).append(document)
-            if self.global_stats:
-                self._sync_document_filter(
-                    extra_texts=[d.text for d in documents]
-                )
-            for owner, batch in sorted(by_owner.items()):
-                self.shards[owner].add_documents(batch)
-            if self.global_stats:
-                self._resync_siblings(skip=set(by_owner))
-            self._ensure_stats_wiring()
+        """Add several documents, each routed to its owning shard. In
+        global-stats mode the corpus-wide df filter is re-pinned first and
+        sibling documents whose bag drifted under it are re-synced."""
+        if documents:
+            self._mutate("add_documents", {"documents": list(documents)})
 
     def remove(self, name: str) -> None:
         """Remove a table (by name) or document (by id) from its shard."""
-        with self._journal("remove", {"name": name}):
-            shard_index = self.router.shard_of(name)
-            shard = self.shards[shard_index]
-            if shard.lake.has_table(name):
-                shard.remove(name)
-            elif shard.lake.has_document(name):
-                if self.global_stats:
-                    # Pin the post-removal filter first so the owner's
-                    # re-sync (and the siblings') runs under the final
-                    # corpus.
-                    self._sync_document_filter(exclude={name})
-                    shard.remove(name)
-                    self._resync_siblings(skip={shard_index})
-                else:
-                    shard.remove(name)
-            else:
-                raise KeyError(
-                    f"lake {self.name!r} has no table or document {name!r}"
-                )
+        self._mutate("remove", {"name": name})
+
+    def _mutate(self, op: str, payload: dict) -> None:
+        """Plan one routed mutation (validated before it is journaled),
+        then run the plan: pin the moved df filter, apply the owner
+        steps, re-sync drifted siblings."""
+        plan = plan_mutation(
+            op, payload, self.router, self.hosts, self.global_stats, self.name
+        )
+        with self._journal(op, payload):
+            if plan.corpus is not None:
+                self._sync_document_filter(*plan.corpus)
+            for shard, step_op, step_payload in plan.steps:
+                apply_mutation(self.shards[shard], step_op, step_payload)
+            if plan.resync_skip is not None:
+                # Only siblings whose drifted documents re-synced commit
+                # (and therefore bump their generation).
+                for i, shard in enumerate(self.shards):
+                    if i not in plan.resync_skip and shard._resync_documents():
+                        shard._commit()
             self._ensure_stats_wiring()
 
     def rebalance(self, assignments: dict[str, int]) -> int:
@@ -618,32 +594,23 @@ class ShardedLakeSession(DirectTransport):
     # ---------------------------------------------------------- internals
 
     def _sync_document_filter(
-        self, extra_texts: list[str] | None = None, exclude: set[str] | None = None
+        self, added: dict[str, str] | None = None, removed=frozenset()
     ) -> None:
-        """Recompute the corpus-wide df filter and pin it on every shard."""
-        exclude = exclude or set()
+        """Recompute the corpus-wide df filter — the current corpus plus
+        the ``added`` texts, minus the ``removed`` ids — and pin it on
+        every shard."""
         texts = [
             document.text
             for shard in self.shards
             for document in shard.lake.documents
-            if document.doc_id not in exclude
+            if document.doc_id not in removed
         ]
-        texts.extend(extra_texts or ())
+        texts.extend((added or {}).values())
         self._df_pipeline.fit(texts)
         for shard in self.shards:
             shard.profiler.pipeline.pin_filter(
                 self._df_pipeline.common_terms, len(texts)
             )
-
-    def _resync_siblings(self, skip: set[int]) -> None:
-        """Re-sketch sibling documents whose bags drifted under a new
-        corpus-wide filter; only shards that actually changed commit (and
-        therefore bump their generation)."""
-        for i, shard in enumerate(self.shards):
-            if i in skip:
-                continue
-            if shard._resync_documents():
-                shard._commit()
 
     def __repr__(self) -> str:
         tables = sum(shard.lake.num_tables for shard in self.shards)

@@ -14,7 +14,8 @@ in-process session runs, and the backends here are its transports.
   slab encoding (numpy arrays travel as raw typed segments, not pickle
   bytes);
 * :mod:`repro.serve.ops` — the worker-side half of the shard-op table
-  (planning views, corpus-statistics exchange, routed mutations, crash
+  (planning views, corpus-statistics exchange, the steps of a
+  :func:`~repro.core.mutation.plan_mutation` plan, crash
   reconciliation) on top of the read ops every transport shares
   (:data:`repro.core.scatter.READ_OPS`);
 * :mod:`repro.serve.worker` — one process per shard, booted from the

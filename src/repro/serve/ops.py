@@ -4,8 +4,12 @@
 ops every transport shares (:data:`repro.core.scatter.READ_OPS`, run on
 the same :class:`~repro.core.scatter.ShardHost` an in-process shard uses)
 plus the operations only a process-hosted shard needs — the planning view
-the front-end keeps of it, its half of a routed mutation, and crash
-reconciliation. Every entry is a pure function of ``(host, payload)``.
+the front-end keeps of it, crash reconciliation, and the steps of a
+mutation plan (:func:`repro.core.mutation.plan_mutation`, computed by the
+front-end): one entry per routed op, all applied through
+:func:`~repro.core.mutation.apply_mutation`, plus the df-filter pin and
+sibling re-sync a rippling document mutation adds around them. Every
+entry is a pure function of ``(host, payload)``.
 
 The remote-statistics ops implement global-stats mode over processes: the
 front-end gathers each shard's keyword-index statistics
@@ -19,7 +23,9 @@ front-end re-pushes sibling snapshots after each committed mutation.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
+from repro.core.mutation import ROUTED_OPS, apply_mutation
 from repro.core.scatter import READ_OPS, ShardHost
 from repro.core.sharding import STATS_FAMILIES
 from repro.search.engine import CorpusStatsGroup
@@ -141,32 +147,14 @@ def _get_table(host: ShardHost, payload: dict):
 # ------------------------------------------------------------ mutation ops
 
 
-def _mutated(host: ShardHost) -> dict:
-    """Mutation response: new generation + the refreshed planning view."""
+def _mutate(op: str, host: ShardHost, payload: dict) -> dict:
+    """One step of a planned mutation, applied through the shard session's
+    own mutator; answers with the new generation and planning view."""
+    apply_mutation(host.session, op, payload)
     return {
         "generation": host.session.generation,
         "catalog": _catalog_lite(host, {}),
     }
-
-
-def _add_table(host: ShardHost, payload: dict) -> dict:
-    host.session.add_table(payload["table"])
-    return _mutated(host)
-
-
-def _update_table(host: ShardHost, payload: dict) -> dict:
-    host.session.update_table(payload["table"])
-    return _mutated(host)
-
-
-def _add_documents(host: ShardHost, payload: dict) -> dict:
-    host.session.add_documents(payload["documents"])
-    return _mutated(host)
-
-
-def _remove(host: ShardHost, payload: dict) -> dict:
-    host.session.remove(payload["name"])
-    return _mutated(host)
 
 
 def _bump_generation(host: ShardHost, payload: dict) -> int:
@@ -213,10 +201,7 @@ OPS = {
     "catalog_lite": _catalog_lite,
     "doc_texts": _doc_texts,
     "get_table": _get_table,
-    "add_table": _add_table,
-    "update_table": _update_table,
-    "add_documents": _add_documents,
-    "remove": _remove,
+    **{op: partial(_mutate, op) for op in ROUTED_OPS},
     "bump_generation": _bump_generation,
     "pin_filter": _pin_filter,
     "resync_documents": _resync_documents,

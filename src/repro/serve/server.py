@@ -42,6 +42,12 @@ from pathlib import Path
 from threading import Condition, Lock
 
 from repro.core.discovery import DiscoveryEngine, DiscoveryResultSet
+from repro.core.mutation import (
+    MutationPlan,
+    apply_mutation,
+    journal_shard,
+    plan_mutation,
+)
 from repro.core.scatter import (
     DirectTransport,
     MergedCatalog,
@@ -159,19 +165,9 @@ class ThreadBackend(DirectTransport):
         return {i: host.generation for i, host in enumerate(self.hosts)}
 
     def apply(self, op: str, payload: dict) -> None:
-        """Mutations delegate to the wrapped session's own mutators: the
-        session handles journaling, global-stats ripple, and routing."""
-        session = self.session
-        if op == "add_table":
-            session.add_table(payload["table"])
-        elif op == "update_table":
-            session.update_table(payload["table"])
-        elif op == "add_documents":
-            session.add_documents(payload["documents"])
-        elif op == "remove":
-            session.remove(payload["name"])
-        else:
-            raise ValueError(f"unknown mutation op {op!r}")
+        """Mutations run through the wrapped session's own mutators: the
+        session plans, journals and routes them."""
+        apply_mutation(self.session, op, payload)
 
     def checkpoint(self) -> None:
         if self.session._store is not None:
@@ -206,6 +202,12 @@ class ProcessBackend:
     backend's one :class:`~repro.serve.worker.Zygote`, which has the
     worker code imported already; :meth:`close` (or GC) closes the
     workers and then waits for the zygote.
+
+    Mutations are planned by :func:`~repro.core.mutation.plan_mutation`
+    against the front-end's shard views — the plan an in-process
+    :class:`~repro.core.sharding.ShardedLakeSession` runs — and executed
+    here with the write-ahead journal append, crash resume and inline
+    recovery around each step (:meth:`apply`).
 
     Failure handling, per layer:
 
@@ -518,24 +520,11 @@ class ProcessBackend:
 
     # ---------------------------------------------------------- mutations
 
-    def _route(self, op: str, payload: dict) -> int:
-        if op in ("add_table", "update_table"):
-            return self.router.shard_of(payload["table"].name)
-        if op == "remove":
-            return self.router.shard_of(payload["name"])
-        if op == "add_documents":
-            return self.router.shard_of(payload["documents"][0].doc_id)
-        return 0
-
     def _next_seq(self) -> int:
         self._seq += 1
         self.catalog_db.put_meta("journal_seq", str(self._seq))
         self.catalog_db.commit()
         return self._seq
-
-    def _absorb(self, shard: int, response: dict) -> None:
-        self.gens[shard] = response["generation"]
-        self.views[shard].update(response["catalog"])
 
     def apply(self, op: str, payload: dict) -> None:
         if op in ("refresh", "rebalance"):
@@ -545,10 +534,12 @@ class ProcessBackend:
                 "in-process (repro.open_lake(path)), run it there, save, "
                 "and serve again"
             )
-        if op not in ("add_table", "update_table", "add_documents", "remove"):
-            raise ValueError(f"unknown mutation op {op!r}")
-        owner = self._route(op, payload)
-        self._validate(op, payload, owner)
+        # Planned (and validated) once, before anything is journaled or
+        # shipped; crash resume below reuses the same plan.
+        plan = plan_mutation(
+            op, payload, self.router, self.views, self._ripples(), self.name
+        )
+        owner = journal_shard(op, payload, self.router)
         if not self.workers[owner].usable:
             # Writer-inline recovery: we hold the write lock, so no
             # reader can observe the generation moving under it.
@@ -561,10 +552,12 @@ class ProcessBackend:
         except _WORKER_DOWN as exc:
             self.supervisor.note_failure(owner)
             self._pending_crash.add(owner)
-            changed = self._resume_after_append_crash(op, payload, owner, seq, exc)
+            changed = self._resume_after_append_crash(
+                op, plan, owner, seq, exc
+            )
         else:
             try:
-                changed = self._dispatch(op, payload, owner)
+                changed = self._execute(plan)
             except ShardUnavailable:
                 # A shard died mid-apply and could not be respawned. The
                 # journaled record is durable and replays when the shard
@@ -582,7 +575,8 @@ class ProcessBackend:
         self._push_stats(changed)
 
     def _resume_after_append_crash(
-        self, op: str, payload: dict, owner: int, seq: int, cause: Exception
+        self, op: str, plan: MutationPlan, owner: int, seq: int,
+        cause: Exception,
     ) -> set[int]:
         """The owner died during the write-ahead append: decide the
         mutation's fate from what recovery finds in its journal.
@@ -601,94 +595,50 @@ class ProcessBackend:
                 f"shard {owner} crashed before journaling mutation "
                 f"{op!r} (seq {seq}); nothing was applied — safe to retry"
             ) from cause
-        return self._dispatch(op, payload, owner, replayed={owner})
+        return self._execute(plan, replayed={owner})
 
-    def _validate(self, op: str, payload: dict, owner: int) -> None:
-        """Front-end copies of the sharded session's pre-checks, raised
-        before anything is journaled or shipped."""
-        view = self.views[owner]
-        if op == "update_table":
-            name = payload["table"].name
-            if name not in view.table_columns:
-                raise KeyError(
-                    f"lake {self.name!r} has no table {name!r} to update"
-                )
-        elif op == "remove":
-            name = payload["name"]
-            if name not in view.table_columns and name not in view.documents:
-                raise KeyError(
-                    f"lake {self.name!r} has no table or document {name!r}"
-                )
-
-    def _dispatch(
-        self, op: str, payload: dict, owner: int, replayed: set | None = None
+    def _execute(
+        self, plan: MutationPlan, replayed: set | None = None
     ) -> set[int]:
-        """Apply one validated, journaled mutation; returns the shards
-        whose generation changed (for the stats re-push).
+        """Run one journaled mutation plan in its order, with recovery
+        around each step; returns the shards whose generation changed.
 
-        ``replayed`` collects the shards whose part of the mutation
-        landed through crash-recovery journal replay instead of a direct
-        call: their op call is skipped (replay already applied it — a
-        re-send would double-apply), and the post-mutation resync runs
-        on them too, since their replay predates the current df filter.
-        A sub-call crash recovers the shard inline (we hold the write
-        lock) and moves it into ``replayed``; only an unrecoverable
-        shard aborts with :class:`ShardUnavailable` — the journal record
-        stays durable for its eventual recovery.
+        ``replayed`` holds the shards whose step already landed through
+        crash-recovery journal replay: the step is skipped (a re-send
+        would double-apply) and the sibling re-sync covers them, since
+        their replay predates the current df filter. A step that crashes
+        its worker recovers it inline (we hold the write lock) and joins
+        ``replayed``; an unrecoverable shard raises
+        :class:`ShardUnavailable` with the record durable in its journal.
         """
         replayed = set() if replayed is None else replayed
-
-        def mutate(shard: int, sub_op: str, sub_payload: dict) -> None:
+        if plan.corpus is not None:
+            added, removed = plan.corpus
+            self._doc_texts.update(added)
+            for doc_id in removed:
+                self._doc_texts.pop(doc_id, None)
+            self._pin_all()
+        for shard, op, payload in plan.steps:
             if shard in replayed:
-                return
+                continue
             try:
-                response = self.workers[shard].call(sub_op, sub_payload)
+                response = self.workers[shard].call(op, payload)
             except _WORKER_DOWN:
                 self.supervisor.note_failure(shard)
                 self._pending_crash.add(shard)
                 self._recover(shard)  # boot replay applies the journal slice
                 replayed.add(shard)
             else:
-                self._absorb(shard, response)
-
-        if op in ("add_table", "update_table"):
-            mutate(owner, op, {"table": payload["table"]})
-            return {owner}
-        if op == "add_documents":
-            documents = payload["documents"]
-            by_owner: dict[int, list] = {}
-            for document in documents:
-                by_owner.setdefault(
-                    self.router.shard_of(document.doc_id), []
-                ).append(document)
-            if self._ripples():
-                for document in documents:
-                    self._doc_texts[document.doc_id] = document.text
-                self._pin_all()
-            for shard, batch in sorted(by_owner.items()):
-                mutate(shard, "add_documents", {"documents": batch})
-            changed = set(by_owner)
-            if self._ripples():
-                changed |= self._resync_siblings(skip=set(by_owner) - replayed)
-            return changed
-        # remove: a table or a document, resolved against the owner's view
-        # (or the maintained text corpus, in case replay already removed
-        # it from the view)
-        name = payload["name"]
-        is_document = name in self.views[owner].documents or name in self._doc_texts
-        if is_document and self._ripples():
-            self._doc_texts.pop(name, None)
-            self._pin_all()
-            mutate(owner, "remove", {"name": name})
-            return {owner} | self._resync_siblings(skip={owner} - replayed)
-        if is_document:
-            self._doc_texts.pop(name, None)
-        mutate(owner, "remove", {"name": name})
-        return {owner}
+                self.gens[shard] = response["generation"]
+                self.views[shard].update(response["catalog"])
+        changed = {shard for shard, _, _ in plan.steps}
+        if plan.resync_skip is not None:
+            changed |= self._resync_siblings(skip=plan.resync_skip - replayed)
+        return changed
 
     def _pin_payload(self) -> dict:
         """Refit the corpus-wide df filter from the maintained text corpus
-        (mirrors ``_sync_document_filter``)."""
+        (the front-end's copy of every shard's document texts)."""
         texts = list(self._doc_texts.values())
         self._df_pipeline.fit(texts)
         return {

@@ -58,6 +58,7 @@ from pathlib import Path
 from repro.core.candidates import CandidateGenerator
 from repro.core.discovery import DiscoveryEngine
 from repro.core.indexes import IndexCatalog, UnresolvedReference
+from repro.core.mutation import apply_mutation, journal_shard
 from repro.core.profiler import Profile, Profiler
 from repro.core.session import LakeSession
 from repro.core.sharding import ShardedLakeSession, ShardRouter
@@ -463,6 +464,8 @@ class LakeStore:
         self.shard_dbs = shard_dbs
         self.session = session
         self.checkpoint_every = checkpoint_every
+        #: Journal placement (a monolithic catalog is one shard).
+        self._router = session.router if kind == "sharded" else ShardRouter(1)
         self._seq = int(catalog_db.get_meta("journal_seq", "0"))
         self._dirt = [ShardDirt() for _ in shard_dbs]
         self._seen_indexes = [
@@ -578,17 +581,18 @@ class LakeStore:
 
         The record is journaled *before* the mutation runs (a crash mid-op
         replays it to completion on reopen) and dropped again if the
-        mutator raises before touching anything (e.g. a KeyError on an
-        unknown name). Nested entries — an auto-refresh firing inside a
-        mutator — are deliberately not journaled: replaying the outer op
-        re-triggers them deterministically.
+        mutator raises; the session validates the mutation before opening
+        the scope, so a rejected one never reaches the journal. Nested
+        entries — an auto-refresh firing inside a mutator — are
+        deliberately not journaled: replaying the outer op re-triggers
+        them deterministically.
         """
         if self._active:
             yield
             return
         self._active = True
         try:
-            shard_idx = self._route(op, payload)
+            shard_idx = journal_shard(op, payload, self._router)
             pre = self._pre_dirt(shard_idx, op, payload)
             seq = None
             if not self._replaying:
@@ -627,53 +631,17 @@ class LakeStore:
         self._replaying = True
         try:
             for _, op, payload in entries:
-                self._apply(op, payload)
+                apply_mutation(self.session, op, payload)
         finally:
             self._replaying = False
         self._pending = len(entries)
 
-    def _apply(self, op: str, payload) -> None:
-        session = self.session
-        if op == "add_table":
-            session.add_table(payload["table"])
-        elif op == "update_table":
-            session.update_table(payload["table"])
-        elif op == "add_documents":
-            session.add_documents(payload["documents"])
-        elif op == "remove":
-            session.remove(payload["name"])
-        elif op == "rebalance":
-            session.rebalance(payload["assignments"])
-        elif op == "refresh":
-            if payload["with_gold"]:
-                session.refresh(payload["gold_pairs"])
-            else:
-                session.refresh()
-        else:
-            raise ValueError(f"unknown journal op {op!r}")
-
-    # ------------------------------------------------------------ routing
+    # ------------------------------------------------------ dirty tracking
 
     def _shard_sessions(self) -> list[LakeSession]:
         if self.kind == "sharded":
             return self.session.shards
         return [self.session]
-
-    def _route(self, op: str, payload) -> int:
-        """The shard whose journal carries the record (placement only —
-        replay ordering is by the catalog-global seq)."""
-        if self.kind == "monolithic":
-            return 0
-        router = self.session.router
-        if op in ("add_table", "update_table"):
-            return router.shard_of(payload["table"].name)
-        if op == "remove":
-            return router.shard_of(payload["name"])
-        if op == "add_documents":
-            return router.shard_of(payload["documents"][0].doc_id)
-        return 0  # rebalance, refresh: lake-wide ops
-
-    # ------------------------------------------------------ dirty tracking
 
     def _doc_dirt_shards(self, owner: int) -> list[int]:
         """Shards whose document side a doc mutation may touch: the owner,
@@ -719,12 +687,9 @@ class LakeStore:
             dirt.col_indexes = True
         elif op == "add_documents":
             for document in payload["documents"]:
-                owner = (
-                    self.session.router.shard_of(document.doc_id)
-                    if self.kind == "sharded"
-                    else shard_idx
+                self._dirt[self._router.shard_of(document.doc_id)].mark_doc(
+                    document.doc_id
                 )
-                self._dirt[owner].mark_doc(document.doc_id)
             for idx in self._doc_dirt_shards(shard_idx):
                 self._dirt[idx].all_doc_sketches = True
                 self._dirt[idx].doc_indexes = True
@@ -743,7 +708,7 @@ class LakeStore:
         elif op in ("rebalance", "refresh"):
             for shard_dirt in self._dirt:
                 shard_dirt.full = True
-        else:  # pragma: no cover - _apply validates first
+        else:  # pragma: no cover - session mutators journal known ops only
             raise ValueError(f"unknown journal op {op!r}")
 
     # --------------------------------------------------------- checkpoint
@@ -865,10 +830,12 @@ def replay_shard_journal(
     global seq order, so adds and removes of the same document land in
     their original order.
 
-    Replay is tolerant of entries whose mutator raises (they failed the
-    same way originally, so skipping reproduces the pre-crash state) but
-    refuses lake-wide ops (``rebalance``/``refresh``): those cannot be
-    applied shard-locally and are rejected at serve time anyway.
+    Entries apply through :func:`~repro.core.mutation.apply_mutation`,
+    the path a whole-catalog reopen replays through. Replay is tolerant of
+    entries whose mutator raises (they failed the same way originally, so
+    skipping reproduces the pre-crash state) but refuses lake-wide ops
+    (``rebalance``/``refresh``): those cannot be applied shard-locally and
+    are rejected at serve time anyway.
     """
     entries = list(db.journal_entries())
     if sibling_entries:
@@ -885,24 +852,13 @@ def replay_shard_journal(
                 f"shard journal holds lake-wide op {op!r}; reopen the "
                 f"catalog with repro.open_lake() to fold it before serving"
             )
+        if op == "add_documents" and owns_document is not None:
+            documents = [d for d in payload["documents"] if owns_document(d.doc_id)]
+            if not documents:
+                continue
+            payload = {"documents": documents}
         try:
-            if op == "add_table":
-                session.add_table(payload["table"])
-            elif op == "update_table":
-                session.update_table(payload["table"])
-            elif op == "add_documents":
-                documents = payload["documents"]
-                if owns_document is not None:
-                    documents = [
-                        doc for doc in documents if owns_document(doc.doc_id)
-                    ]
-                if not documents:
-                    continue
-                session.add_documents(documents)
-            elif op == "remove":
-                session.remove(payload["name"])
-            else:
-                raise ValueError(f"unknown journal op {op!r}")
+            apply_mutation(session, op, payload)
         except (KeyError, ValueError):
             # The mutator rejected the entry (duplicate name, unknown
             # target): it raised identically when first applied, so the

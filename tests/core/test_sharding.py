@@ -545,3 +545,89 @@ def test_session_and_thread_server_share_one_read_path(pharma_generated):
         "joinable_columns_for", "union_phase1", "union_phase2",
         "pk_entries", "pkfk_links_for",
     }
+
+
+# ------------------------------------------------------ one mutation plan
+
+
+def test_session_and_process_server_share_one_mutation_plan(
+    pharma_generated, tmp_path, monkeypatch
+):
+    """Structural guard: a sharded session and a process-backed LakeServer
+    over its saved catalog plan every mutation through the one
+    ``plan_mutation`` — identical plans for a scripted table + document
+    sequence — and issue the same ``(shard, op)`` owner steps. A zero-
+    column table is updated and removed on both paths: it holds no
+    column, so the planning view's ``table_columns`` is what knows it."""
+    from repro.core import mutation, sharding
+    from repro.core.mutation import ROUTED_OPS
+    from repro.serve import LakeServer, server as server_module
+
+    session = open_lake(_copy_lake(pharma_generated.lake), _config(),
+                        shards=2, global_stats=True)
+    session.save(tmp_path / "lake")
+    session.close()  # unbound: the server is the catalog's only writer
+    server = LakeServer(tmp_path / "lake", backend="process")
+
+    plans: dict[str, list] = {"session": [], "server": []}
+    steps: dict[str, list] = {"session": [], "server": []}
+
+    def spy(front: str):
+        def planned(*args, **kwargs):
+            plan = mutation.plan_mutation(*args, **kwargs)
+            plans[front].append(plan)
+            return plan
+        return planned
+
+    monkeypatch.setattr(sharding, "plan_mutation", spy("session"))
+    monkeypatch.setattr(server_module, "plan_mutation", spy("server"))
+    for i, shard in enumerate(session.shards):
+        for op in ROUTED_OPS:
+            inner = getattr(shard, op)
+            setattr(shard, op, lambda arg, i=i, op=op, inner=inner: (
+                steps["session"].append((i, op)), inner(arg)
+            )[1])
+    for i, worker in enumerate(server.backend.workers):
+        inner = worker.call
+        worker.call = lambda op, payload=None, i=i, inner=inner, **kw: (
+            op in ROUTED_OPS and steps["server"].append((i, op)),
+            inner(op, payload, **kw),
+        )[1]
+
+    tables = sorted(session.table_names)
+    docs = sorted(session.document_ids)
+    shrunk = session.shards[session.shard_of(tables[0])].lake.table(tables[0])
+    shrunk = shrunk.select_rows([0, 1], tables[0])
+    hollow = Table("hollow", [])
+    script = [
+        ("add_table", Table.from_dict("parity_extra", {
+            "extra_id": ["X1", "X2", "X3"], "label": ["a", "b", "c"],
+        })),
+        ("add_documents", [
+            Document(doc_id=f"doc:plan{i}", title=f"Plan {i}",
+                     text=f"Plan report {i} about compound rates.")
+            for i in range(4)
+        ]),
+        ("add_table", hollow),
+        ("update_table", hollow),
+        ("update_table", shrunk),
+        ("remove", docs[0]),
+        ("remove", "hollow"),
+        ("remove", tables[-1]),
+    ]
+    try:
+        for front in (session, server):
+            for op, arg in script:
+                getattr(front, op)(arg)
+        queries = _workload(session.profile)[:8]
+        got = server.discover_batch(queries)
+        assert [g.items for g in got] == [
+            session.discover(q).items for q in queries
+        ]
+    finally:
+        server.close()
+    assert len(plans["session"]) == len(script)
+    assert plans["server"] == plans["session"]
+    assert steps["server"] == steps["session"]
+    assert {shard for shard, _ in steps["session"]} == {0, 1}
+    assert any(plan.resync_skip is not None for plan in plans["session"])
