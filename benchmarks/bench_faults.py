@@ -213,9 +213,7 @@ def run(seconds: float, kill_at: float, write_files: bool) -> dict:
     lake = _lake()
     workdir = Path(tempfile.mkdtemp(prefix="bench-faults-"))
     try:
-        session = open_lake(
-            _copy_lake(lake), _config(), shards=2, global_stats=True
-        )
+        session = open_lake(_copy_lake(lake), _config(), shards=2)
         queries = _queries(session)
         session.save(workdir / "faults.catalog")
         session.close()

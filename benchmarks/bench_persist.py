@@ -96,8 +96,7 @@ def _bench_lake(name: str, lake: DataLake, workdir: Path,
 
     def fit():
         if shards:
-            return open_lake(lake, _config(), shards=shards,
-                             global_stats=True)
+            return open_lake(lake, _config(), shards=shards)
         return open_lake(lake, _config())
 
     # Best-of-2 cold fits (the second run reuses warmed allocator state,
@@ -173,8 +172,7 @@ def smoke() -> None:
             for document in lake.documents:
                 fresh.add_document(document)
             catalog = workdir / f"smoke-{shards}.catalog"
-            live = (open_lake(fresh, _config(), shards=shards,
-                              global_stats=True)
+            live = (open_lake(fresh, _config(), shards=shards)
                     if shards else open_lake(fresh, _config()))
             live.save(catalog)
             live.close()  # unbind: one store owns a catalog at a time

@@ -18,7 +18,7 @@ Honesty notes for a single-core CI host: the thread backend shares one
 GIL across readers, so its QPS measures lock/merge overhead rather than
 parallel scoring; the process backend pays RPC framing per round-trip
 and only shows its worth with real cores. Churn here is table-local
-(add/update/remove of tables): document churn under ``global_stats``
+(add/update/remove of tables): document churn on a sharded lake
 additionally ripples a corpus-wide df refit per mutation, which is a
 different (heavier) write path measured by its own tests.
 
@@ -246,8 +246,7 @@ def main() -> None:
     results: dict = {"scenarios": {}}
     try:
         # ---- thread backend: one live sharded session, two cache modes
-        session = open_lake(_copy_lake(lake), _config(), shards=2,
-                            global_stats=True)
+        session = open_lake(_copy_lake(lake), _config(), shards=2)
         queries = _queries(session)
         for cache in (True, False):
             label = f"thread_{'cache' if cache else 'nocache'}"
@@ -263,8 +262,7 @@ def main() -> None:
         session.close()
 
         # ---- process backend: saved catalog, one worker per shard
-        session = open_lake(_copy_lake(lake), _config(), shards=2,
-                            global_stats=True)
+        session = open_lake(_copy_lake(lake), _config(), shards=2)
         session.save(workdir / "serving.catalog")
         session.close()
         for cache in (True, False):
@@ -331,8 +329,7 @@ def smoke() -> None:
     lake = _lake()
     workdir = Path(tempfile.mkdtemp(prefix="bench-serving-smoke-"))
     try:
-        reference = open_lake(_copy_lake(lake), _config(), shards=2,
-                              global_stats=True)
+        reference = open_lake(_copy_lake(lake), _config(), shards=2)
         queries = _queries(reference) + _canary_batch()
 
         # Thread backend wraps the reference session itself.

@@ -98,8 +98,8 @@ def main() -> None:
     # Big lakes — partition into independently-fitted shards behind the
     # same surface (see examples/sharded_lake.py): mutations route to the
     # owning shard, queries scatter-gather into one global top-k, and
-    # global_stats=True keeps keyword scores byte-equal to one big fit:
-    #   session = repro.open_lake(lake, shards=4, global_stats=True)
+    # shared corpus statistics keep every score byte-equal to one big fit:
+    #   session = repro.open_lake(lake, shards=4)
     #   session.discover(Q.joinable("drugs", top_n=2))
 
     # Durable lakes — fit once, save, reopen later without refitting

@@ -43,8 +43,7 @@ def main() -> None:
     try:
         print("Generating + fitting the Pharma lake (2 shards) ...")
         lake = generate_pharma_lake().lake
-        session = open_lake(lake, CMDLConfig(use_joint=False),
-                            shards=2, global_stats=True)
+        session = open_lake(lake, CMDLConfig(use_joint=False), shards=2)
 
         # ---- thread backend: serve the live session --------------------
         server = session.serve()

@@ -12,10 +12,10 @@ behind the same session surface:
     session.rebalance({"drugs": 2})             # move entries between shards
     session.shards[0].refresh()                 # each shard on its own clock
 
-``global_stats=True`` additionally merges BM25/df corpus statistics across
-shards, which makes keyword scores — and therefore every top-k — byte-equal
-to a monolithic fit (the trade-off: document churn that shifts the
-corpus-wide df filter re-syncs drifted sibling documents).
+Shards share corpus-wide BM25/df statistics, which makes keyword scores —
+and therefore every top-k — byte-equal to a monolithic fit (the price:
+document churn that shifts the corpus-wide df filter re-syncs drifted
+sibling documents).
 
 Run:  python examples/sharded_lake.py
 """
@@ -40,9 +40,7 @@ def main() -> None:
 
     print("\nOpening a 4-shard session (global corpus statistics) ...")
     start = time.perf_counter()
-    session = open_lake(
-        lake, CMDLConfig(use_joint=False), shards=4, global_stats=True
-    )
+    session = open_lake(lake, CMDLConfig(use_joint=False), shards=4)
     print(f"  fitted {session.num_shards} shards in "
           f"{time.perf_counter() - start:.1f}s")
     for i, shard in enumerate(session.shards):

@@ -43,12 +43,13 @@ class MutationPlan(NamedTuple):
     """What one routed mutation does, decided before any of it runs.
 
     ``steps`` are the ``(shard, op, payload)`` owner calls, in ascending
-    shard order. Under a corpus-wide df filter (``global_stats`` on a
-    sharded lake) a document mutation also carries ``corpus``, the delta
-    the filter is re-pinned with *before* the steps — ``(texts added by
-    doc id, ids removed)`` — and ``resync_skip``: once the steps ran,
-    every shard not in it re-syncs the documents the new filter drifted.
-    Both are ``None`` when the filter does not move.
+    shard order. A document mutation also carries ``corpus``, the delta a
+    sharded lake re-pins its corpus-wide df filter with *before* the
+    steps — ``(texts added by doc id, ids removed)`` — and
+    ``resync_skip``: once the steps ran, every shard not in it re-syncs
+    the documents the new filter drifted. Both are ``None`` for table
+    mutations, which never move the filter. A monolithic lake fits its
+    own filter and runs only the steps.
     """
 
     steps: list[tuple[int, str, dict]]
@@ -102,10 +103,9 @@ def check_mutation(op: str, payload: dict, view, lake: str) -> None:
 
 
 def plan_mutation(
-    op: str, payload: dict, router, views, ripples: bool, lake: str
+    op: str, payload: dict, router, views, lake: str
 ) -> MutationPlan:
-    """Validate a routed mutation against ``views[owner]`` and plan it;
-    ``ripples`` says whether document churn moves a corpus-wide df filter.
+    """Validate a routed mutation against ``views[owner]`` and plan it.
     A repeated doc id routes to one owner, so checking each owner's slice
     of a batch checks the whole batch."""
     if op == "add_documents":
@@ -119,8 +119,6 @@ def plan_mutation(
         raise ValueError(f"unknown mutation op {op!r}")
     for shard, _, step_payload in steps:
         check_mutation(op, step_payload, views[shard], lake)
-    if not ripples:
-        return MutationPlan(steps)
     if op == "add_documents":
         added = {d.doc_id: d.text for d in payload["documents"]}
         return MutationPlan(steps, (added, frozenset()), frozenset(by_owner))

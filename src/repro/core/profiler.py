@@ -280,7 +280,7 @@ class Profiler:
         self.minhash = MinHash(num_hashes=num_hashes, seed=seed)
         # ``pipeline`` lets a caller supply a pre-configured document
         # pipeline — the sharded lake passes per-shard pipelines pinned to
-        # the corpus-wide df filter (global-stats mode).
+        # the corpus-wide df filter.
         self.pipeline = pipeline or DocumentPipeline(max_doc_frequency=max_doc_frequency)
         self.embedder = embedder  # resolved lazily in profile() if None
         self.seed = seed

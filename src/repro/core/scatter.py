@@ -18,9 +18,9 @@ none of it knows where the shards run:
   the merge of per-shard partials into the global top-k.
 
 The executor is constructed per batch from a *transport* (``num_shards``,
-``global_stats``, ``router``, ``catalog``, ``union_candidate_k``,
-``round_trip(shard, ops, pinned_gen=)``, the ``total_retries`` /
-``total_respawns`` counters) and three properties of the batch:
+``router``, ``catalog``, ``union_candidate_k``, ``round_trip(shard, ops,
+pinned_gen=)``, the ``total_retries`` / ``total_respawns`` counters) and
+three properties of the batch:
 
 * **pinned snapshot** — the generation vector captured by the caller
   (under the server's read lock, when there is one); every result the
@@ -36,9 +36,9 @@ The executor is constructed per batch from a *transport* (``num_shards``,
   every other shard's contributions warm
   (see :mod:`repro.core.result_cache`).
 
-Generation scopes per partial: a keyword list depends on its own shard —
-plus, under ``global_stats``, on every shard (corpus-wide df/N feed the
-scores). An owner-derived probe (cross-modal encodings, join/union
+Generation scopes per partial: a keyword list depends on every shard
+(corpus-wide df/N feed the scores), and so does a free-text cross-modal
+probe. An owner-derived probe (cross-modal encodings, join/union
 sketches) depends on the owner and the probed shard. Union phase 2 folds
 evidence from all shards, so it scopes to the full vector.
 
@@ -308,10 +308,10 @@ class DirectTransport:
     thread, under each host's lock.
 
     Mixed into whatever owns the hosts (it also provides ``router``,
-    ``global_stats``, ``catalog`` and ``num_shards``). In-process shards
-    cannot fail independently of the caller, so the supervision counters
-    stay zero and ``pinned_gen`` never mismatches (generations only move
-    when the owner mutates).
+    ``catalog`` and ``num_shards``). In-process shards cannot fail
+    independently of the caller, so the supervision counters stay zero
+    and ``pinned_gen`` never mismatches (generations only move when the
+    owner mutates).
     """
 
     total_retries = 0
@@ -408,7 +408,6 @@ class ScatterGatherExecutor(Executor):
         self.pool = pool
         self.gens = dict(generations)
         self.num_shards = transport.num_shards
-        self.global_stats = transport.global_stats
         self.degraded = degraded
         self.unavailable = unavailable
         self._retries0 = transport.total_retries
@@ -451,12 +450,6 @@ class ScatterGatherExecutor(Executor):
 
     def _table_of(self, column_id: str) -> str:
         return self.catalog.columns[column_id].table_name
-
-    def _local(self, shard: int) -> tuple:
-        """Generation scope of a shard-local keyword-scored partial."""
-        if self.global_stats:
-            return self._full
-        return (self.gens[shard],)
 
     @property
     def _pkfk_index_key(self) -> tuple:
@@ -597,7 +590,6 @@ class ScatterGatherExecutor(Executor):
                 # One query sketch for all shards: signatures are
                 # hash-family compatible because every shard fits with
                 # the same seed/hashes.
-                ctx["probe"] = probe
                 ctx["tqs_at"] = len(stage0)
                 stage0.append(_Request(
                     probe, "text_query_sketch", {"value": query.value},
@@ -645,7 +637,7 @@ class ScatterGatherExecutor(Executor):
                         {"op": op, "value": query.value,
                          "mode": query.mode, "k": query.k},
                         ("kw", op, query.value, query.mode, query.k),
-                        self._local,
+                        lambda i: full,
                     ),
                 })
 
@@ -669,14 +661,11 @@ class ScatterGatherExecutor(Executor):
                     lambda i, o=ctx["owner"]: (gens[o], gens[i]),
                 )
             else:
-                sketch = r0[ctx["tqs_at"]]
-                probe = ctx["probe"]
                 ctx["at"] = broadcast(
                     "text_column_parts",
-                    {"sketch": sketch, "k": column_k},
+                    {"sketch": r0[ctx["tqs_at"]], "k": column_k},
                     ("xm_txt", query.value, column_k),
-                    (lambda i: full) if self.global_stats
-                    else (lambda i, p=probe: (gens[p], gens[i])),
+                    lambda i: full,
                 )
 
         for ctx in join_ctx:

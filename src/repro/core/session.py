@@ -51,7 +51,7 @@ def open_lake(
     gold_pairs: list[tuple[str, str, int]] | None = None,
     shards: int | None = None,
     router=None,
-    global_stats: bool = False,
+    global_stats: bool = True,
     auto_refresh_threshold: float | None = None,
     fit_workers: int | None = None,
 ):
@@ -73,18 +73,35 @@ def open_lake(
         session = open_lake(lake, shards=4)
         session.discover(Q.joinable("drugs", top_n=2))    # scatter-gather
 
+    Shards share corpus-wide statistics, so a sharded session answers
+    exactly as a monolithic one. ``global_stats`` is a compatibility
+    check only: callers written when shard-local statistics were an option
+    pass ``global_stats=True``, which is accepted and changes nothing;
+    any other value raises ``ValueError``.
+
     Passing a path instead of a lake reopens a catalog previously written
     by ``session.save(path)`` — no refitting; every fit-time option was
     saved with the catalog, so none may be passed here::
 
         session = open_lake("catalog/")
     """
+    if global_stats is not True:
+        raise ValueError(
+            "sharded lakes always keep corpus-wide statistics: "
+            f"global_stats accepts only True, got {global_stats!r}"
+        )
     if isinstance(lake, (str, Path)):
-        if config is not None or shards is not None or router is not None:
+        options = {
+            "config": config, "gold_pairs": gold_pairs, "shards": shards,
+            "router": router, "auto_refresh_threshold": auto_refresh_threshold,
+            "fit_workers": fit_workers,
+        }
+        passed = [name for name, value in options.items() if value is not None]
+        if passed:
             raise ValueError(
                 "open_lake(path) reopens a saved catalog; fit-time options "
-                "(config/shards/router) were persisted with it and cannot "
-                "be overridden here"
+                "were persisted with it and cannot be passed here: "
+                + ", ".join(passed)
             )
         from repro.store import load_catalog
 
@@ -94,7 +111,6 @@ def open_lake(
         gold_pairs=gold_pairs,
         shards=shards,
         router=router,
-        global_stats=global_stats,
         auto_refresh_threshold=auto_refresh_threshold,
         fit_workers=fit_workers,
     )
@@ -414,8 +430,8 @@ class LakeSession:
         document can change *other* documents' bags of words; only those
         whose bag actually changed are re-sketched and re-indexed, which
         keeps the keyword/containment paths byte-identical to a cold fit on
-        the current corpus. (When the pipeline's filter is *pinned* — the
-        sharded global-stats mode — the fit call is a no-op and only
+        the current corpus. (When the pipeline's filter is *pinned* — every
+        shard of a sharded lake — the fit call is a no-op and only
         documents whose bag changed under the pinned filter are touched.)
         Returns the number of documents (re-)sketched, so callers — the
         sharded session syncing sibling shards after a corpus-wide filter

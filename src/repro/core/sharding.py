@@ -33,25 +33,21 @@ is *locally complete* — a shard's top-k list is the true top-k over its own
 partition, computed with the same pure pair functions (containment, the
 union ensemble, PK-FK inclusion) or globally comparable scores — so a
 score-based k-way merge of per-shard top-k lists equals the monolithic
-top-k. Two statistics are corpus-wide rather than pair-local and therefore
-shard-dependent by default:
+top-k. Two statistics are corpus-wide rather than pair-local:
 
 * **BM25 / LM corpus statistics** (document frequencies, corpus size,
   average length) behind every keyword score, and
 * the **document pipeline's df filter** ("drop terms occurring in a large
   fraction of documents"), which shapes document bags themselves.
 
-With ``global_stats=False`` (the default) both are shard-local: keyword
-scores and document bags reflect each shard's own corpus — mutations stay
-perfectly isolated to the owning shard, at the cost of keyword rankings
-that can deviate from a monolithic fit (the BM25/df freshness trade-off).
-With ``global_stats=True`` the session merges document frequencies across
-shards (:class:`~repro.search.engine.CorpusStatsGroup`) and pins every
-shard's document pipeline to the corpus-wide df filter, restoring
-byte-parity with a monolithic fit; the price is that *document* churn can
-ripple: a document add/remove that shifts the corpus-wide filter re-syncs
-the (few) drifted documents on sibling shards, exactly as a monolithic
-session re-syncs its own.
+A sharded lake always keeps both corpus-wide: the session merges document
+frequencies across shards (:class:`~repro.search.engine.CorpusStatsGroup`)
+and pins every shard's document pipeline to the corpus-wide df filter, so a
+sharded lake answers exactly as a monolithic fit of the same lake. The
+price is that *document* churn can ripple: a document add/remove that
+shifts the corpus-wide filter re-syncs the (few) drifted documents on
+sibling shards, exactly as a monolithic session re-syncs its own. Table
+churn never leaves the owning shard.
 
 As everywhere else in the session stack, exact embedding parity under
 mutation additionally needs a corpus-independent embedder
@@ -90,8 +86,8 @@ from repro.text.pipeline import DocumentPipeline
 from repro.utils.hashing import stable_hash_64
 
 #: Keyword-engine families whose corpus statistics are merged across shards
-#: under ``global_stats=True`` (the four "elastic" indexes of the paper plus
-#: the two schema-name probe engines of the candidate layer).
+#: (the four "elastic" indexes of the paper plus the two schema-name probe
+#: engines of the candidate layer).
 STATS_FAMILIES = (
     "doc_content",
     "doc_metadata",
@@ -172,9 +168,9 @@ class ShardedLakeSession(DirectTransport):
     shard and bump only that shard's generation counter; queries
     (``discover`` / ``discover_batch``) scatter each planned primitive
     across shards and merge per-shard top-k lists into the global top-k
-    (see the module docs for the exactness argument and the
-    ``global_stats`` corpus-statistics trade-off), reusing cached
-    per-shard partials whose generation scope is unchanged.
+    (see the module docs for the exactness argument and the corpus-wide
+    statistics every shard shares), reusing cached per-shard partials
+    whose generation scope is unchanged.
     """
 
     def __init__(
@@ -183,7 +179,6 @@ class ShardedLakeSession(DirectTransport):
         config: CMDLConfig | None = None,
         shards: int | None = None,
         router: ShardRouter | None = None,
-        global_stats: bool = False,
         gold_pairs: list[tuple[str, str, int]] | None = None,
         auto_refresh_threshold: float | None = None,
         fit_workers: int | None = None,
@@ -208,7 +203,6 @@ class ShardedLakeSession(DirectTransport):
         self.config = config or CMDLConfig()
         self.router = router
         self.name = lake.name
-        self.global_stats = global_stats
         self.gold_pairs = gold_pairs
         self.auto_refresh_threshold = auto_refresh_threshold
         workers = (
@@ -227,11 +221,9 @@ class ShardedLakeSession(DirectTransport):
         #: has written (or :func:`repro.open_lake` has reopened) a catalog.
         #: Set before shard fitting: a failed fit calls :meth:`close`.
         self._store = None
-        #: Corpus-wide df calculator for global-stats mode (its term memo
-        #: stays warm across filter re-syncs).
-        self._df_pipeline = DocumentPipeline() if global_stats else None
-        if global_stats:
-            self._df_pipeline.fit(d.text for d in lake.documents)
+        #: Corpus-wide df calculator (its term memo stays warm across
+        #: filter re-syncs).
+        self._df_pipeline = DocumentPipeline().fit(d.text for d in lake.documents)
 
         sublakes = router.partition(lake)
         try:
@@ -248,11 +240,10 @@ class ShardedLakeSession(DirectTransport):
         config: CMDLConfig,
         router: ShardRouter,
         name: str,
-        global_stats: bool,
         gold_pairs,
         auto_refresh_threshold: float | None,
         fit_workers: int,
-        df_pipeline: DocumentPipeline | None,
+        df_pipeline: DocumentPipeline,
         shards: list[LakeSession],
     ) -> "ShardedLakeSession":
         """Assemble a session around already-restored shards (the catalog
@@ -261,7 +252,6 @@ class ShardedLakeSession(DirectTransport):
         session.config = config
         session.router = router
         session.name = name
-        session.global_stats = global_stats
         session.gold_pairs = gold_pairs
         session.auto_refresh_threshold = auto_refresh_threshold
         session.fit_workers = fit_workers
@@ -281,10 +271,7 @@ class ShardedLakeSession(DirectTransport):
     def _host_shards(self) -> None:
         """Wire the fitted (or restored) shards into one lake: merged
         corpus statistics, and the read path's hosts, catalog and cache."""
-        self._stats_groups: dict[str, CorpusStatsGroup] = {}
-        self._wired_indexes: list = []
-        if self.global_stats:
-            self._wire_stats_groups()
+        self._wire_stats_groups()
         self.hosts = [ShardHost(shard) for shard in self.shards]
         self.catalog = MergedCatalog(self.hosts)
         #: Per-shard partials and the merged PK-FK link index, keyed by
@@ -314,12 +301,9 @@ class ShardedLakeSession(DirectTransport):
             # produce identical vectors, and concurrent fits never contend
             # on one instance's internal caches.
             cfg.embedder = copy.deepcopy(self.config.embedder)
-        if self.global_stats:
-            pipeline = DocumentPipeline()
-            pipeline.pin_filter(
-                self._df_pipeline.common_terms, self._df_pipeline.num_docs_fit
-            )
-            cfg.document_pipeline = pipeline
+        cfg.document_pipeline = DocumentPipeline().pin_filter(
+            self._df_pipeline.common_terms, self._df_pipeline.num_docs_fit
+        )
         return cfg
 
     def _filter_gold(self, sublake: DataLake):
@@ -336,7 +320,7 @@ class ShardedLakeSession(DirectTransport):
         return kept or None
 
     def _wire_stats_groups(self) -> None:
-        self._stats_groups = {
+        self._stats_groups: dict[str, CorpusStatsGroup] = {
             family: CorpusStatsGroup(
                 [getattr(shard.indexes, family) for shard in self.shards]
             )
@@ -347,8 +331,6 @@ class ShardedLakeSession(DirectTransport):
     def _ensure_stats_wiring(self) -> None:
         """Re-wire the stats groups if any shard replaced its catalog (a
         refresh — explicit or drift-triggered — builds new indexes)."""
-        if not self.global_stats:
-            return
         if self._wired_indexes != [shard.indexes for shard in self.shards]:
             self._wire_stats_groups()
 
@@ -439,9 +421,9 @@ class ShardedLakeSession(DirectTransport):
         self.add_documents([document])
 
     def add_documents(self, documents: list[Document]) -> None:
-        """Add several documents, each routed to its owning shard. In
-        global-stats mode the corpus-wide df filter is re-pinned first and
-        sibling documents whose bag drifted under it are re-synced."""
+        """Add several documents, each routed to its owning shard. The
+        corpus-wide df filter is re-pinned first and sibling documents
+        whose bag drifted under it are re-synced."""
         if documents:
             self._mutate("add_documents", {"documents": list(documents)})
 
@@ -453,9 +435,7 @@ class ShardedLakeSession(DirectTransport):
         """Plan one routed mutation (validated before it is journaled),
         then run the plan: pin the moved df filter, apply the owner
         steps, re-sync drifted siblings."""
-        plan = plan_mutation(
-            op, payload, self.router, self.hosts, self.global_stats, self.name
-        )
+        plan = plan_mutation(op, payload, self.router, self.hosts, self.name)
         with self._journal(op, payload):
             if plan.corpus is not None:
                 self._sync_document_filter(*plan.corpus)
@@ -478,7 +458,7 @@ class ShardedLakeSession(DirectTransport):
         :meth:`update_table` — follows the entry to its new home. Returns
         the number of entries actually moved (already-home assignments are
         recorded but move nothing). The corpus is unchanged, so the
-        global-stats df filter needs no re-sync. Every name and target is
+        corpus-wide df filter needs no re-sync. Every name and target is
         validated before the first move: a bad assignment changes nothing.
         """
         with self._journal("rebalance", {"assignments": dict(assignments)}):
@@ -513,7 +493,7 @@ class ShardedLakeSession(DirectTransport):
         """Full refit of every shard (concurrent when a pool exists).
 
         Per-shard generation counters stay monotonic across the swap; the
-        global-stats groups are re-wired onto the fresh index catalogs.
+        corpus-statistics groups are re-wired onto the fresh index catalogs.
         """
         with self._journal(
             "refresh",
@@ -523,11 +503,9 @@ class ShardedLakeSession(DirectTransport):
                 self.gold_pairs = gold_pairs
                 for shard in self.shards:
                     shard.gold_pairs = self._filter_gold(shard.lake)
-            if self.global_stats:
-                self._sync_document_filter()
+            self._sync_document_filter()
             fan_out(self._pool, LakeSession.refresh, self.shards)
-            if self.global_stats:
-                self._wire_stats_groups()
+            self._wire_stats_groups()
 
     # -------------------------------------------------------- persistence
 
@@ -617,6 +595,5 @@ class ShardedLakeSession(DirectTransport):
         docs = sum(shard.lake.num_documents for shard in self.shards)
         return (
             f"ShardedLakeSession({self.name!r}, shards={self.num_shards}, "
-            f"tables={tables}, documents={docs}, "
-            f"global_stats={self.global_stats})"
+            f"tables={tables}, documents={docs})"
         )

@@ -15,8 +15,9 @@ evaluates a workload and is where the query layer earns its keep:
   is warmed once per strategy and every query in the batch reads from it.
 
 :class:`ExecutionStats` records what happened (primitive evaluations
-requested vs actually executed, PK-FK sweeps run) — the numbers
-``benchmarks/bench_srql.py`` reports.
+requested vs actually executed, PK-FK sweeps run); the batch == single-query
+contract is tested in ``tests/core/test_srql.py`` and
+``tests/core/test_srql_parity.py``.
 """
 
 from __future__ import annotations

@@ -78,8 +78,8 @@ class CMDLConfig:
     #: Document pipeline override. ``None`` builds the default
     #: :class:`~repro.text.pipeline.DocumentPipeline` per fit. The sharded
     #: lake passes per-shard pipelines pinned to the corpus-wide df filter
-    #: (``ShardedLakeSession(global_stats=True)``) so shard-local fits keep
-    #: document bags byte-identical to a monolithic fit.
+    #: so shard-local fits keep document bags byte-identical to a
+    #: monolithic fit.
     document_pipeline: object | None = None
 
     #: Word embedder for the solo encodings. ``None`` trains the default
@@ -177,7 +177,6 @@ class CMDL:
         gold_pairs=None,
         shards: int | None = None,
         router=None,
-        global_stats: bool = False,
         auto_refresh_threshold: float | None = None,
         fit_workers: int | None = None,
     ):
@@ -194,13 +193,12 @@ class CMDL:
         independently-fitted shards and returns a
         :class:`~repro.core.sharding.ShardedLakeSession` instead: shards
         fit concurrently on a thread pool, mutations route to the owning
-        shard, and SRQL queries scatter-gather across shards.
-        ``fit_workers`` sizes that per-shard fit pool, which also runs
-        ``refresh()`` and query scatter (default: one worker per shard,
-        capped at the host's cores; 1 runs shards serially).
-        ``global_stats=True`` merges document-frequency / BM25 corpus
-        statistics across shards for byte-parity with a monolithic fit
-        (see the sharding module docs for the freshness trade-off).
+        shard, and SRQL queries scatter-gather across shards. Shards share
+        corpus-wide document-frequency / BM25 statistics, so a sharded
+        session answers exactly as a monolithic one (see the sharding
+        module docs). ``fit_workers`` sizes that per-shard fit pool, which
+        also runs ``refresh()`` and query scatter (default: one worker per
+        shard, capped at the host's cores; 1 runs shards serially).
         ``auto_refresh_threshold`` arms the embedding-drift auto-refresh on
         the session (each shard of a sharded session refreshes itself on
         its own schedule).
@@ -213,7 +211,6 @@ class CMDL:
                 config=self.config,
                 shards=shards,
                 router=router,
-                global_stats=global_stats,
                 gold_pairs=gold_pairs,
                 auto_refresh_threshold=auto_refresh_threshold,
                 fit_workers=fit_workers,

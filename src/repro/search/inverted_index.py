@@ -211,7 +211,7 @@ class InvertedIndex:
         """Copy of the full term -> document-frequency table.
 
         Snapshot accessor for cross-index statistics merging (the sharded
-        lake's global-stats mode); exact under tombstones, like the per-term
+        lake's corpus-wide statistics); exact under tombstones, like the per-term
         accessors.
         """
         return Counter(self._df)

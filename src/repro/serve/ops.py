@@ -11,9 +11,9 @@ front-end): one entry per routed op, all applied through
 sibling re-sync a rippling document mutation adds around them. Every
 entry is a pure function of ``(host, payload)``.
 
-The remote-statistics ops implement global-stats mode over processes: the
-front-end gathers each shard's keyword-index statistics
-(:func:`_stats_snapshot`), then installs on every worker a real
+The remote-statistics ops keep a sharded lake's statistics corpus-wide
+over processes: the front-end gathers each shard's keyword-index
+statistics (:func:`_stats_snapshot`), then installs on every worker a real
 :class:`~repro.search.engine.CorpusStatsGroup` whose members are the
 shard's *live* engine plus frozen snapshot stubs of every sibling — local
 mutations re-merge immediately through the group's dirty tracking, and the
@@ -186,7 +186,7 @@ def _pin_filter(host: ShardHost, payload: dict) -> None:
 
 
 def _resync_documents(host: ShardHost, payload: dict) -> dict:
-    """Sibling-shard half of a global-stats document mutation: re-sketch
+    """Sibling-shard half of a sharded document mutation: re-sketch
     any document whose bag drifted under the newly pinned filter."""
     changed = host.session._resync_documents()
     if changed:

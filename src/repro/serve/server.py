@@ -26,11 +26,10 @@ sharded session:
   caller's GIL;
 * ``backend="process"`` serves a *saved catalog* with one worker process
   per shard (:mod:`repro.serve.worker`) — per-shard CPU parallelism, RPC
-  framing cost per round-trip. Corpus-wide statistics under
-  ``global_stats=True`` are kept coherent by snapshot exchange: after
-  every mutation the front-end re-collects the changed shards' df/N
-  statistics and re-installs merged :class:`CorpusStatsGroup` views on
-  every worker.
+  framing cost per round-trip. A sharded lake's corpus-wide statistics
+  are kept coherent by snapshot exchange: after every mutation the
+  front-end re-collects the changed shards' df/N statistics and
+  re-installs merged :class:`CorpusStatsGroup` views on every worker.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ from repro.serve.rpc import (
     WorkerTimeout,
 )
 from repro.serve.worker import ShardWorker, WorkerSupervisor, Zygote
+from repro.store.catalog import read_manifest
 from repro.store.shard import ShardStore
-from repro.text.pipeline import DocumentPipeline
 
 
 class _RWLock:
@@ -145,14 +144,12 @@ class ThreadBackend(DirectTransport):
         self.owned = owned
         if isinstance(session, ShardedLakeSession):
             self.router = session.router
-            self.global_stats = session.global_stats
             self.hosts = session.hosts
             self.catalog = session.catalog
             self.name = session.name
             config = session.config
         else:
             self.router = ShardRouter(1)
-            self.global_stats = True  # one shard: stats are the corpus
             self.hosts = [ShardHost(session)]
             self.catalog = MergedCatalog(self.hosts)
             self.name = session.lake.name
@@ -252,32 +249,14 @@ class ProcessBackend:
             )
         self.path = path
         self.catalog_db = ShardStore(path / "catalog.sqlite")
-        kind = self.catalog_db.get_meta("kind")
-        if kind not in ("monolithic", "sharded"):
-            raise ValueError(f"catalog at {path} has unknown kind {kind!r}")
-        self.kind = kind
-        self.num_shards = int(self.catalog_db.get_meta("num_shards", "1"))
-        self.name = self.catalog_db.get_meta("name", "lake")
-        self._seq = int(self.catalog_db.get_meta("journal_seq", "0"))
-        if kind == "sharded":
-            router_state = self.catalog_db.get_state("router")
-            self.router = ShardRouter(
-                router_state["num_shards"],
-                assignments=dict(router_state["assignments"]),
-                seed=router_state["seed"],
-            )
-            self._top = self.catalog_db.get_state("top")
-            self.global_stats = self._top["global_stats"]
-            self._df_pipeline = (
-                None
-                if self._top["df_pipeline"] is None
-                else DocumentPipeline.restore_state(self._top["df_pipeline"])
-            )
-        else:
-            self.router = ShardRouter(1)
-            self._top = None
-            self.global_stats = True  # one shard: stats are the corpus
-            self._df_pipeline = None
+        manifest = read_manifest(self.catalog_db)
+        self.kind = manifest.kind
+        self.num_shards = manifest.num_shards
+        self.name = manifest.name
+        self._seq = manifest.journal_seq
+        self.router = manifest.router
+        self._top = manifest.top
+        self._df_pipeline = manifest.df_pipeline
         self.request_timeout = request_timeout
         self.read_retries = read_retries
         self.supervisor = WorkerSupervisor(
@@ -302,7 +281,7 @@ class ProcessBackend:
         self.workers: list[ShardWorker] = []
         self.views: list[_ShardView] = []
         self._doc_texts: dict[str, str] = {}
-        #: Last collected per-shard corpus statistics (global-stats mode).
+        #: Last collected per-shard corpus statistics.
         self._stat_snapshots: list = [None] * self.num_shards
         try:
             self.zygote = Zygote()
@@ -363,8 +342,9 @@ class ProcessBackend:
         )
 
     def _ripples(self) -> bool:
-        """Whether document churn ripples across shards (corpus-wide df)."""
-        return self.kind == "sharded" and self.global_stats
+        """Whether document churn ripples across shards: a sharded lake
+        pins every shard to its corpus-wide df filter."""
+        return self.kind == "sharded"
 
     def _push_stats(self, fetch_shards) -> None:
         """Re-collect ``fetch_shards``' corpus statistics and re-install
@@ -374,7 +354,7 @@ class ProcessBackend:
         not fail another shard's mutation or recovery — its own
         recovery re-installs the merged view (:meth:`_recouple`).
         """
-        if not (self.global_stats and self.num_shards > 1):
+        if self.num_shards == 1:
             return
         for i in fetch_shards:
             self._stat_snapshots[i] = self.workers[i].call("stats_snapshot")
@@ -536,9 +516,9 @@ class ProcessBackend:
             )
         # Planned (and validated) once, before anything is journaled or
         # shipped; crash resume below reuses the same plan.
-        plan = plan_mutation(
-            op, payload, self.router, self.views, self._ripples(), self.name
-        )
+        plan = plan_mutation(op, payload, self.router, self.views, self.name)
+        if not self._ripples():
+            plan = MutationPlan(plan.steps)  # the worker fits its own filter
         owner = journal_shard(op, payload, self.router)
         if not self.workers[owner].usable:
             # Writer-inline recovery: we hold the write lock, so no
@@ -696,14 +676,8 @@ class ProcessBackend:
                     f"retry checkpoint()"
                 ) from exc
         if self._top is not None:
-            top = dict(self._top)
-            top["df_pipeline"] = (
-                None
-                if self._df_pipeline is None
-                else self._df_pipeline.persistent_state()
-            )
-            self.catalog_db.put_state("top", top)
-            self._top = top
+            self._top["df_pipeline"] = self._df_pipeline.persistent_state()
+            self.catalog_db.put_state("top", self._top)
         self.catalog_db.put_meta("journal_seq", str(self._seq))
         self.catalog_db.commit()
 

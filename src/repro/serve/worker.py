@@ -60,10 +60,10 @@ import threading
 import time
 import traceback
 import weakref
+from contextlib import closing
 from pathlib import Path
 from threading import Lock
 
-from repro.core.sharding import ShardRouter
 from repro.serve import faults
 from repro.serve.ops import OPS, ShardHost
 from repro.serve.rpc import (
@@ -80,7 +80,12 @@ from repro.serve.rpc import (
     check_response,
     frame_bytes,
 )
-from repro.store import ShardStore, replay_shard_journal, restore_shard_session
+from repro.store import (
+    ShardStore,
+    read_manifest,
+    replay_shard_journal,
+    restore_shard_session,
+)
 from repro.store.catalog import _write_shard_full
 
 
@@ -102,21 +107,12 @@ def _replay_context(shard_path: Path, index: int):
     catalog_path = shard_path.parent / "catalog.sqlite"
     if not catalog_path.exists():
         return None, None
-    catalog_db = ShardStore(catalog_path)
-    try:
-        if catalog_db.get_meta("kind") != "sharded":
-            return None, None
-        num_shards = int(catalog_db.get_meta("num_shards", "1"))
-        state = catalog_db.get_state("router")
-    finally:
-        catalog_db.close()
-    router = ShardRouter(
-        state["num_shards"],
-        assignments=dict(state["assignments"]),
-        seed=state["seed"],
-    )
+    with closing(ShardStore(catalog_path)) as catalog_db:
+        manifest = read_manifest(catalog_db)
+    if manifest.kind != "sharded":
+        return None, None
     sibling_entries = []
-    for i in range(num_shards):
+    for i in range(manifest.num_shards):
         if i == index:
             continue
         sibling = ShardStore(shard_path.parent / f"shard-{i:04d}.sqlite")
@@ -124,7 +120,9 @@ def _replay_context(shard_path: Path, index: int):
             sibling_entries.extend(sibling.journal_entries())
         finally:
             sibling.conn.close()  # read-only peek: no commit, just release
-    return (lambda doc_id: router.shard_of(doc_id) == index), sibling_entries
+    return (
+        lambda doc_id: manifest.router.shard_of(doc_id) == index
+    ), sibling_entries
 
 
 def _heartbeat_loop(conn: Connection) -> None:

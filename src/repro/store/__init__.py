@@ -19,6 +19,7 @@ from repro.store.catalog import (
     ShardDirt,
     footprint,
     load_catalog,
+    read_manifest,
     replay_shard_journal,
     restore_shard_session,
     save_session,
@@ -34,6 +35,7 @@ __all__ = [
     "ShardStore",
     "footprint",
     "load_catalog",
+    "read_manifest",
     "replay_shard_journal",
     "restore_shard_session",
     "save_session",

@@ -27,7 +27,7 @@ in the live session; forest rows are one division by the stored norm). This
 rests on one invariant of the dirty tracking below: **a sketch row changes
 only in a checkpoint that also rewrites every index section that references
 it** — column-sketch dirt implies the column index sections, document-sketch
-dirt the document ones (sibling shards included under ``global_stats``). A
+dirt the document ones (on a sharded lake, sibling shards included). A
 reference that does not resolve on restore raises
 :class:`~repro.store.shard.CatalogCorrupt` naming the file and section;
 it never yields a wrong row. :func:`footprint` reports where a catalog's
@@ -54,6 +54,7 @@ import weakref
 from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.core.candidates import CandidateGenerator
 from repro.core.discovery import DiscoveryEngine
@@ -439,6 +440,62 @@ def _restore_shard(db: ShardStore) -> LakeSession:
 # -------------------------------------------------------------- lake store
 
 
+class Manifest(NamedTuple):
+    """A catalog's ``catalog.sqlite`` as :meth:`LakeStore._write_manifest`
+    wrote it. ``router`` is ``ShardRouter(1)`` and ``top`` (the session's
+    fit-time options and config) and ``df_pipeline`` (its corpus-wide df
+    filter) are ``None`` for a monolithic lake."""
+
+    kind: str
+    name: str
+    num_shards: int
+    journal_seq: int
+    checkpoint_every: int
+    router: ShardRouter
+    top: dict | None
+    df_pipeline: DocumentPipeline | None
+
+
+def read_manifest(db: ShardStore) -> Manifest:
+    """The one parser of a catalog's manifest (catalog reopen, process
+    server, worker journal replay). Refuses an unknown lake kind, and —
+    with :class:`~repro.store.shard.CatalogCorrupt` — a sharded catalog
+    saved with shard-local statistics: its document bags were built under
+    per-shard df filters, so reading it as corpus-wide would answer
+    differently from the lake that wrote it."""
+    kind = db.get_meta("kind")
+    if kind not in ("monolithic", "sharded"):
+        raise ValueError(f"catalog at {db.path.parent} has unknown kind {kind!r}")
+    router, top, df_pipeline = ShardRouter(1), None, None
+    if kind == "sharded":
+        state = db.get_state("router")
+        router = ShardRouter(
+            state["num_shards"],
+            assignments=dict(state["assignments"]),
+            seed=state["seed"],
+        )
+        top = db.get_state("top")
+        if top.get("global_stats", True) is not True:
+            raise CatalogCorrupt(
+                f"catalog file {db.path} was saved with shard-local "
+                "statistics; sharded lakes always keep corpus-wide "
+                "statistics — refit the lake and save it again"
+            )
+        df_pipeline = DocumentPipeline.restore_state(top["df_pipeline"])
+    return Manifest(
+        kind=kind,
+        name=db.get_meta("name", "lake"),
+        num_shards=int(db.get_meta("num_shards", "1")),
+        journal_seq=int(db.get_meta("journal_seq", "0")),
+        checkpoint_every=int(
+            db.get_meta("checkpoint_every", str(DEFAULT_CHECKPOINT_EVERY))
+        ),
+        router=router,
+        top=top,
+        df_pipeline=df_pipeline,
+    )
+
+
 class LakeStore:
     """A saved catalog directory bound to one live session.
 
@@ -516,27 +573,16 @@ class LakeStore:
         tail, and return the bound live session."""
         path = Path(path)
         catalog_db = ShardStore(path / "catalog.sqlite")
-        kind = catalog_db.get_meta("kind")
-        if kind not in ("monolithic", "sharded"):
-            raise ValueError(f"catalog at {path} has unknown kind {kind!r}")
-        num_shards = int(catalog_db.get_meta("num_shards", "1"))
-        checkpoint_every = int(
-            catalog_db.get_meta("checkpoint_every", str(DEFAULT_CHECKPOINT_EVERY))
-        )
+        manifest = read_manifest(catalog_db)
         shard_dbs = [
-            ShardStore(path / f"shard-{i:04d}.sqlite") for i in range(num_shards)
+            ShardStore(path / f"shard-{i:04d}.sqlite")
+            for i in range(manifest.num_shards)
         ]
-        if kind == "monolithic":
+        if manifest.kind == "monolithic":
             session = _restore_shard(shard_dbs[0])
         else:
             shards = [_restore_shard(db) for db in shard_dbs]
-            router_state = catalog_db.get_state("router")
-            router = ShardRouter(
-                router_state["num_shards"],
-                assignments=dict(router_state["assignments"]),
-                seed=router_state["seed"],
-            )
-            top = catalog_db.get_state("top")
+            top = manifest.top
             config_payload = top["config"]
             config = config_payload["config"]
             # The top-level config's live objects come back from shard 0's
@@ -545,29 +591,23 @@ class LakeStore:
                 config.document_pipeline = shards[0].profiler.pipeline
             if config_payload["had_embedder"]:
                 config.embedder = shards[0].profiler.embedder
-            df_pipeline = (
-                None
-                if top["df_pipeline"] is None
-                else DocumentPipeline.restore_state(top["df_pipeline"])
-            )
             session = ShardedLakeSession._restore(
                 config=config,
-                router=router,
-                name=catalog_db.get_meta("name", "lake"),
-                global_stats=top["global_stats"],
+                router=manifest.router,
+                name=manifest.name,
                 gold_pairs=top["gold_pairs"],
                 auto_refresh_threshold=top["auto_refresh_threshold"],
                 fit_workers=top["fit_workers"],
-                df_pipeline=df_pipeline,
+                df_pipeline=manifest.df_pipeline,
                 shards=shards,
             )
         store = cls(
             path,
-            kind,
+            manifest.kind,
             catalog_db,
             shard_dbs,
             session,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=manifest.checkpoint_every,
         )
         session._store = store
         store._replay()
@@ -643,12 +683,12 @@ class LakeStore:
             return self.session.shards
         return [self.session]
 
-    def _doc_dirt_shards(self, owner: int) -> list[int]:
-        """Shards whose document side a doc mutation may touch: the owner,
-        plus every sibling when a corpus-wide df filter is in play."""
-        if self.kind == "sharded" and self.session.global_stats:
-            return list(range(len(self.shard_dbs)))
-        return [owner]
+    def _dirty_document_side(self) -> None:
+        """A document mutation may touch every shard's document side: the
+        corpus-wide df filter of a sharded lake ripples to siblings."""
+        for dirt in self._dirt:
+            dirt.all_doc_sketches = True
+            dirt.doc_indexes = True
 
     def _pre_dirt(self, shard_idx: int, op: str, payload) -> dict:
         session = self._shard_sessions()[shard_idx]
@@ -690,9 +730,7 @@ class LakeStore:
                 self._dirt[self._router.shard_of(document.doc_id)].mark_doc(
                     document.doc_id
                 )
-            for idx in self._doc_dirt_shards(shard_idx):
-                self._dirt[idx].all_doc_sketches = True
-                self._dirt[idx].doc_indexes = True
+            self._dirty_document_side()
         elif op == "remove":
             if pre["kind"] == "table":
                 dirt.remove_table(payload["name"])
@@ -702,9 +740,7 @@ class LakeStore:
             else:
                 dirt.remove_doc(payload["name"])
                 dirt.remove_sketch(payload["name"])
-                for idx in self._doc_dirt_shards(shard_idx):
-                    self._dirt[idx].all_doc_sketches = True
-                    self._dirt[idx].doc_indexes = True
+                self._dirty_document_side()
         elif op in ("rebalance", "refresh"):
             for shard_dirt in self._dirt:
                 shard_dirt.full = True
@@ -758,16 +794,11 @@ class LakeStore:
             catalog.put_state(
                 "top",
                 {
-                    "global_stats": session.global_stats,
                     "gold_pairs": session.gold_pairs,
                     "auto_refresh_threshold": session.auto_refresh_threshold,
                     "fit_workers": session.fit_workers,
                     "config": _config_state(session.config),
-                    "df_pipeline": (
-                        None
-                        if session._df_pipeline is None
-                        else session._df_pipeline.persistent_state()
-                    ),
+                    "df_pipeline": session._df_pipeline.persistent_state(),
                 },
             )
         else:
@@ -912,7 +943,7 @@ def footprint(path: str | Path) -> dict[str, int]:
     """
     path = Path(path)
     with closing(ShardStore(path / "catalog.sqlite")) as db:
-        num_shards = int(db.get_meta("num_shards", "1"))
+        num_shards = read_manifest(db).num_shards
     files = [path / "catalog.sqlite"]
     files += [path / f"shard-{i:04d}.sqlite" for i in range(num_shards)]
     sizes: dict[str, int] = {}

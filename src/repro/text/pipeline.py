@@ -85,22 +85,17 @@ class DocumentPipeline:
     def pin_filter(self, common_terms: set[str], num_docs: int) -> "DocumentPipeline":
         """Pin the df filter to an externally-computed term set.
 
-        A sharded lake in global-stats mode computes the "occurs in a large
-        fraction of documents" filter over the *whole* corpus and pins each
-        shard's pipeline with the result, so shard-local :meth:`fit` /
+        A sharded lake computes the "occurs in a large fraction of
+        documents" filter over the *whole* corpus and pins each shard's
+        pipeline with the result, so shard-local :meth:`fit` /
         :meth:`fit_transform` calls keep the corpus-wide filter instead of
         re-deriving it from the shard's own documents. While pinned, fitting
-        is a no-op for the filter (transforms still run normally);
-        :meth:`unpin_filter` restores self-fitting behaviour.
+        is a no-op for the filter (transforms still run normally).
         """
         self._common_terms = set(common_terms)
         self._num_docs_fit = num_docs
         self._pinned = True
         return self
-
-    def unpin_filter(self) -> None:
-        """Forget a pinned filter; the next :meth:`fit` re-derives it."""
-        self._pinned = False
 
     @property
     def common_terms(self) -> frozenset[str]:

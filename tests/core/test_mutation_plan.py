@@ -85,7 +85,7 @@ def test_failed_document_batch_changes_nothing(pharma_generated, tmp_path, front
     holds] used to half-apply: the new document landed (unsketched, on a
     monolithic lake) while the journal record was dropped, so the live
     lake answered differently from its reopened catalog."""
-    kwargs = {} if front == "monolithic" else {"shards": 2, "global_stats": True}
+    kwargs = {} if front == "monolithic" else {"shards": 2}
     session = open_lake(copy_lake(pharma_generated.lake), parity_config(), **kwargs)
     path = session.save(tmp_path / "lake")
     router = ShardRouter(2)
@@ -195,11 +195,11 @@ def _primitives(session) -> list:
 def test_failed_mutations_change_nothing(toy_lake, ops):
     """Generated add/update/remove/document-batch sequences mixing valid
     names, unknown names and in-batch duplicates, on a bound monolithic
-    and a bound 2-shard global-stats session: every op either succeeds or
+    and a bound 2-shard session: every op either succeeds or
     leaves lake ids, generations, pinned filters and the journal as they
     were, and the final lake answers the six primitives exactly as its
     saved-and-reopened catalog does."""
-    layouts = {"mono": {}, "sharded": {"shards": 2, "global_stats": True}}
+    layouts = {"mono": {}, "sharded": {"shards": 2}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, kwargs in layouts.items():
             path = Path(tmp) / name

@@ -1,14 +1,13 @@
 """Sharded-vs-monolithic parity, mutation routing, and rebalance tests.
 
-The acceptance bar of the sharded-lake architecture: a
-:class:`~repro.core.sharding.ShardedLakeSession` in global-stats mode must
-return *identical* top-k results to a monolithic session — for all six SRQL
-primitives, on all three seed lakes, at 1/2/4 shards — before and after
-interleaved add/remove/update mutations. Both sides run the documented
-parity configuration (no joint model, the corpus-independent hashing
-embedder); ``global_stats=True`` merges BM25/df corpus statistics across
-shards, which is what makes keyword scores merge-exact (see the sharding
-module docs for the trade-off).
+The acceptance bar of the sharded-lake architecture: a default
+:class:`~repro.core.sharding.ShardedLakeSession` must return *identical*
+top-k results to a monolithic session — for all six SRQL primitives, on all
+three seed lakes, at 1/2/4 shards — before and after interleaved
+add/remove/update mutations. Both sides run the documented parity
+configuration (no joint model, the corpus-independent hashing embedder);
+shards share corpus-wide BM25/df statistics, which is what makes keyword
+scores merge-exact (see the sharding module docs).
 """
 
 from __future__ import annotations
@@ -110,9 +109,7 @@ def _assert_parity(mono, sharded, context: str) -> None:
 
 def _parity_case(lake: DataLake, shards: int) -> None:
     mono = open_lake(_copy_lake(lake), _config())
-    sharded = open_lake(
-        _copy_lake(lake), _config(), shards=shards, global_stats=True
-    )
+    sharded = open_lake(_copy_lake(lake), _config(), shards=shards)
     _assert_parity(mono, sharded, f"{lake.name} shards={shards} (cold)")
     _mutate(mono)
     _mutate(sharded)
@@ -136,15 +133,12 @@ class TestShardedParity:
 
 @pytest.mark.slow
 class TestShardedParitySlow:
-    """Heavier cross-checks: batch execution, threaded scatter, and the
-    structured trio without global statistics."""
+    """Heavier cross-checks: batch execution and threaded scatter."""
 
     def test_batch_matches_singles_and_reports_shards(self, ukopen_generated):
         lake = ukopen_generated.lake
         mono = open_lake(_copy_lake(lake), _config())
-        sharded = open_lake(
-            _copy_lake(lake), _config(), shards=4, global_stats=True
-        )
+        sharded = open_lake(_copy_lake(lake), _config(), shards=4)
         workload = _workload(mono.profile)
         batch = sharded.discover_batch(workload)
         singles = [mono.discover(q) for q in workload]
@@ -157,13 +151,9 @@ class TestShardedParitySlow:
 
     def test_threaded_scatter_matches_serial(self, pharma_generated):
         lake = pharma_generated.lake
-        serial = open_lake(
-            _copy_lake(lake), _config(), shards=2, global_stats=True,
-            fit_workers=1,
-        )
+        serial = open_lake(_copy_lake(lake), _config(), shards=2, fit_workers=1)
         with open_lake(
-            _copy_lake(lake), _config(), shards=2, global_stats=True,
-            fit_workers=2,
+            _copy_lake(lake), _config(), shards=2, fit_workers=2
         ) as threaded:
             assert threaded._pool is not None
             for query in _workload(serial.profile):
@@ -172,20 +162,19 @@ class TestShardedParitySlow:
                     == serial.discover(query).items
                 )
 
-    def test_structured_ops_exact_without_global_stats(self, mlopen_generated):
-        """Join/union/PK-FK scores are pure pair functions, so the
-        structured trio merges exactly even with shard-local corpus stats
-        (only keyword/cross-modal scores need the global-stats opt-in)."""
-        lake = mlopen_generated.lake
-        mono = open_lake(_copy_lake(lake), _config())
-        sharded = open_lake(_copy_lake(lake), _config(), shards=4)
-        for table in sorted(mono.profile.table_columns)[:6]:
-            for op in (Q.joinable, Q.unionable, Q.pkfk):
-                query = op(table, top_n=3)
-                assert (
-                    sharded.discover(query).items
-                    == mono.discover(query).items
-                ), f"{op.__name__}({table!r})"
+
+def test_global_stats_keyword_is_only_a_compatibility_check(toy_lake):
+    """``open_lake(lake, shards=2, global_stats=True)`` — the call older
+    callers still make — answers exactly as the call without it; any
+    other value is refused, since shards always share corpus statistics."""
+    plain = open_lake(_copy_lake(toy_lake), _config(), shards=2)
+    compat = open_lake(_copy_lake(toy_lake), _config(), shards=2,
+                       global_stats=True)
+    for query in _workload(plain.profile):
+        assert compat.discover(query).items == plain.discover(query).items
+    with pytest.raises(ValueError, match="corpus-wide statistics"):
+        open_lake(_copy_lake(toy_lake), _config(), shards=2,
+                  global_stats=False)
 
 
 # ------------------------------------------------------------------ router
@@ -235,8 +224,7 @@ class TestShardRouter:
 
 @pytest.fixture()
 def toy_sharded(toy_lake) -> ShardedLakeSession:
-    return open_lake(_copy_lake(toy_lake), _config(), shards=3,
-                     global_stats=True)
+    return open_lake(_copy_lake(toy_lake), _config(), shards=3)
 
 
 class TestMutationRouting:
@@ -279,12 +267,11 @@ class TestMutationRouting:
             )
 
     def test_document_mutations_keep_global_filter_parity(self, toy_lake):
-        """Document churn under global_stats must keep bags byte-identical
+        """Document churn must keep bags byte-identical
         to a monolithic session applying the same churn (the df filter is
         corpus-wide, so siblings re-sync when it shifts)."""
         mono = open_lake(_copy_lake(toy_lake), _config())
-        sharded = open_lake(_copy_lake(toy_lake), _config(), shards=3,
-                            global_stats=True)
+        sharded = open_lake(_copy_lake(toy_lake), _config(), shards=3)
         repeated = [
             Document(
                 doc_id=f"doc:flood{i}",
@@ -320,8 +307,7 @@ class TestMutationRouting:
 class TestRebalance:
     def test_moves_update_routing_and_preserve_results(self, toy_lake):
         mono = open_lake(_copy_lake(toy_lake), _config())
-        session = open_lake(_copy_lake(toy_lake), _config(), shards=3,
-                            global_stats=True)
+        session = open_lake(_copy_lake(toy_lake), _config(), shards=3)
         workload = [
             Q.joinable("drugs", top_n=3),
             Q.unionable("drugs", top_n=3),
@@ -400,8 +386,7 @@ def test_failed_rebalance_changes_nothing(toy_lake, tmp_path, bad):
     """Every name and target is validated before the first move: a bad
     assignment leaves the live session — and the catalog it reopens from —
     exactly as they were, with every entry still reachable."""
-    session = open_lake(_copy_lake(toy_lake), _config(), shards=2,
-                        global_stats=True)
+    session = open_lake(_copy_lake(toy_lake), _config(), shards=2)
     session.save(tmp_path / "lake")
 
     def homes(s) -> dict[str, int]:
@@ -456,7 +441,7 @@ def test_session_link_index_lives_exactly_one_generation_vector(
     — costs exactly one sweep, after which answers equal a cold monolithic
     fit of the same lake."""
     session = open_lake(_copy_lake(pharma_generated.lake), _config(),
-                        shards=2, global_stats=True)
+                        shards=2)
 
     def sweeps_once_then_never(context: str) -> None:
         lake = DataLake(name="cold")
@@ -503,7 +488,7 @@ def test_session_and_thread_server_share_one_read_path(pharma_generated):
     from repro.serve import LakeServer
 
     session = open_lake(_copy_lake(pharma_generated.lake), _config(),
-                        shards=2, global_stats=True)
+                        shards=2)
     server = LakeServer(session)
     executors, ops = [], []
     real_init = scatter.ScatterGatherExecutor.__init__
@@ -564,7 +549,7 @@ def test_session_and_process_server_share_one_mutation_plan(
     from repro.serve import LakeServer, server as server_module
 
     session = open_lake(_copy_lake(pharma_generated.lake), _config(),
-                        shards=2, global_stats=True)
+                        shards=2)
     session.save(tmp_path / "lake")
     session.close()  # unbound: the server is the catalog's only writer
     server = LakeServer(tmp_path / "lake", backend="process")

@@ -1,8 +1,8 @@
 """Shared helpers for the serving-layer tests.
 
 The parity bar mirrors tests/core/test_sharding.py: the documented parity
-configuration (no joint model, corpus-independent hashing embedder,
-``global_stats=True``) under which serving front-ends must return
+configuration (no joint model, corpus-independent hashing embedder)
+under which serving front-ends must return
 byte-identical top-k to the in-process session they serve.
 """
 

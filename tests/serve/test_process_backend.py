@@ -1,12 +1,11 @@
 """Process-backed LakeServer: one worker process per shard.
 
-The acceptance bar of the serving tentpole: with ``global_stats=True``
-and the hashing embedder, a process-backed server over a saved catalog
-returns byte-identical top-k to the in-process ShardedLakeSession for
-all six primitives on all three seed lakes — cold (fresh boot via the
-catalog-reopen path) and after interleaved mutations applied through the
-server's RPC writer path (including the corpus-wide df ripple that
-document churn triggers under global statistics).
+The acceptance bar of the serving tentpole: with the hashing embedder, a
+process-backed server over a saved catalog returns byte-identical top-k
+to the in-process ShardedLakeSession for all six primitives on all three
+seed lakes — cold (fresh boot via the catalog-reopen path) and after
+interleaved mutations applied through the server's RPC writer path
+(including the corpus-wide df ripple that document churn triggers).
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ def saved_session(lake, path, shards: int = 2):
     """Fit + save a sharded session, then unbind its store so the process
     server is the catalog's only writer. The session object stays usable
     in memory as the parity reference."""
-    session = open_lake(
-        copy_lake(lake), parity_config(), shards=shards, global_stats=True
-    )
+    session = open_lake(copy_lake(lake), parity_config(), shards=shards)
     session.save(path)
     session.close()
     return session
@@ -276,8 +273,7 @@ class TestWorkerLifecycle:
         """``session.serve(backend='process')`` hands the catalog over:
         the session closes, the server becomes the sole writer."""
         session = open_lake(
-            copy_lake(seed_lakes["pharma"]), parity_config(),
-            shards=2, global_stats=True,
+            copy_lake(seed_lakes["pharma"]), parity_config(), shards=2
         )
         # Unsaved sessions cannot be process-served.
         with pytest.raises(ValueError, match="save"):
@@ -347,7 +343,7 @@ def test_empty_document_batch_is_a_noop(seed_lakes, tmp_path, shards, front):
     """``add_documents([])`` journals nothing and bumps no generation —
     on a session with or without a bound catalog, and through both
     server backends (routing used to index ``documents[0]``)."""
-    kwargs = {"shards": shards, "global_stats": True} if shards else {}
+    kwargs = {"shards": shards} if shards else {}
     session = open_lake(copy_lake(seed_lakes["pharma"]), parity_config(), **kwargs)
     target = session
     if front != "unbound":

@@ -32,9 +32,7 @@ LAKES = ("pharma", "ukopen", "mlopen")
 
 
 def sharded_session(lake, shards: int = 2):
-    return open_lake(
-        copy_lake(lake), parity_config(), shards=shards, global_stats=True
-    )
+    return open_lake(copy_lake(lake), parity_config(), shards=shards)
 
 
 class TestThreadParity:

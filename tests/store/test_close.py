@@ -39,9 +39,7 @@ class TestIdempotentClose:
         session.close()
 
     def test_session_double_close_sharded(self, toy_lake, tmp_path):
-        session = open_lake(
-            _copy_lake(toy_lake), _config(), shards=2, global_stats=True
-        )
+        session = open_lake(_copy_lake(toy_lake), _config(), shards=2)
         session.save(tmp_path / "catalog")
         session.close()
         session.close()
@@ -56,9 +54,7 @@ class TestCloseDurability:
     def test_journal_tail_survives_close(self, toy_lake, tmp_path):
         """close() releases handles but does not drop the write-ahead
         journal: an un-checkpointed mutation replays on reopen."""
-        session = open_lake(
-            _copy_lake(toy_lake), _config(), shards=2, global_stats=True
-        )
+        session = open_lake(_copy_lake(toy_lake), _config(), shards=2)
         session.save(tmp_path / "catalog")
         session.add_table(Table.from_dict("close_probe", {
             "probe_id": ["C1", "C2"], "value": [1, 2],
@@ -84,7 +80,7 @@ class TestRebindClosesPreviousCatalog:
         rebind (not at some later GC cycle), and p1 still reopens to the
         state the session had when it moved on — its journal tail
         included."""
-        kwargs = {"shards": shards, "global_stats": True} if shards else {}
+        kwargs = {"shards": shards} if shards else {}
         session = open_lake(_copy_lake(toy_lake), _config(), **kwargs)
         session.save(tmp_path / "p1")
         old = session._store

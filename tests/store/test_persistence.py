@@ -10,11 +10,16 @@ sweeps the three generated seed lakes at 1/2/4 shards.
 
 from __future__ import annotations
 
+import re
+from contextlib import closing
+
 import pytest
 
 from repro.core.session import LakeSession, open_lake
 from repro.core.sharding import ShardedLakeSession
 from repro.core.system import CMDL
+from repro.serve import LakeServer
+from repro.store import CatalogCorrupt, ShardStore
 
 from tests.core.test_sharding import (
     _config,
@@ -37,8 +42,7 @@ def _assert_parity(live, reopened, context: str) -> None:
 def _open(lake, shards: int):
     if shards == 0:
         return open_lake(_copy_lake(lake), _config())
-    return open_lake(_copy_lake(lake), _config(), shards=shards,
-                     global_stats=True)
+    return open_lake(_copy_lake(lake), _config(), shards=shards)
 
 
 class TestSaveAndReopen:
@@ -78,6 +82,44 @@ class TestSaveAndReopen:
             open_lake(str(tmp_path / "nowhere"), _config())
         with pytest.raises(ValueError):
             open_lake(str(tmp_path / "nowhere"), shards=2)
+
+    @pytest.mark.parametrize("option", [
+        {"gold_pairs": [("doc:aspirin", "drugs.name", 1)]},
+        {"auto_refresh_threshold": 0.01},
+        {"fit_workers": 8},
+        {"global_stats": False},
+    ], ids=lambda option: next(iter(option)))
+    def test_open_lake_path_rejects_every_option(self, toy_lake, tmp_path,
+                                                 option):
+        """Every fit-time option is persisted with the catalog: passing one
+        with a path is an error, never silently dropped."""
+        live = _open(toy_lake, 2)
+        path = live.save(tmp_path / "catalog")
+        live.close()
+        with pytest.raises(ValueError, match=next(iter(option))):
+            open_lake(path, **option)
+
+    def test_shard_local_statistics_catalog_is_refused(self, toy_lake,
+                                                       tmp_path):
+        """A sharded catalog saved with shard-local statistics holds
+        document bags built under per-shard df filters: every reader —
+        the in-process reopen and both server backends — refuses it with
+        CatalogCorrupt naming its manifest file."""
+        live = _open(toy_lake, 2)
+        path = live.save(tmp_path / "catalog")
+        live.close()
+        with closing(ShardStore(path / "catalog.sqlite")) as db:
+            top = db.get_state("top")
+            top.update(global_stats=False, df_pipeline=None)
+            db.put_state("top", top)
+            db.commit()
+        named = re.escape(str(path / "catalog.sqlite"))
+        with pytest.raises(CatalogCorrupt, match=named):
+            open_lake(path)
+        with pytest.raises(CatalogCorrupt, match=named):
+            LakeServer(path)
+        with pytest.raises(CatalogCorrupt, match=named):
+            LakeServer(path, backend="process")
 
     def test_context_manager_closes_store(self, toy_lake, tmp_path):
         with _open(toy_lake, 0) as live:
@@ -188,7 +230,7 @@ class TestDriftSurvivesReopen:
         lake = _copy_lake(toy_lake)
         if shards:
             live = open_lake(lake, _config(), shards=shards,
-                             global_stats=True, auto_refresh_threshold=0.9)
+                             auto_refresh_threshold=0.9)
         else:
             live = open_lake(lake, _config(), auto_refresh_threshold=0.9)
         # Mostly fit-time vocabulary plus a few novel terms: drift lands

@@ -300,7 +300,7 @@ class TestSavedFootprint:
 
     @pytest.mark.parametrize("shards", [0, 2])
     def test_footprint_accounts_for_every_byte(self, toy_lake, tmp_path, shards):
-        kwargs = {"shards": shards, "global_stats": True} if shards else {}
+        kwargs = {"shards": shards} if shards else {}
         session = open_lake(_copy_lake(toy_lake), _config(), **kwargs)
         path = session.save(tmp_path / "catalog")
         session.close()
@@ -349,12 +349,11 @@ class TestSavedFootprint:
 
 
 def test_sibling_doc_resketch_is_checkpointed_with_its_sections(toy_lake, tmp_path):
-    """Under ``global_stats`` a document batch on one shard can shift the
+    """On a sharded lake a document batch on one shard can shift the
     corpus-wide df filter and re-sketch *another* shard's documents. Those
     sketch rows must be rewritten in the same checkpoint as the document
     index sections that reference them, so reopen == live."""
-    session = open_lake(_copy_lake(toy_lake), _config(), shards=2,
-                        global_stats=True)
+    session = open_lake(_copy_lake(toy_lake), _config(), shards=2)
     path = session.save(tmp_path / "catalog")
     sibling = session.shard_of("doc:aspirin")
     owner = 1 - sibling
