@@ -53,7 +53,6 @@ def open_lake(
     router=None,
     global_stats: bool = True,
     auto_refresh_threshold: float | None = None,
-    fit_workers: int | None = None,
 ):
     """Fit a CMDL system over ``lake`` and return a mutable session.
 
@@ -94,7 +93,6 @@ def open_lake(
         options = {
             "config": config, "gold_pairs": gold_pairs, "shards": shards,
             "router": router, "auto_refresh_threshold": auto_refresh_threshold,
-            "fit_workers": fit_workers,
         }
         passed = [name for name, value in options.items() if value is not None]
         if passed:
@@ -112,7 +110,6 @@ def open_lake(
         shards=shards,
         router=router,
         auto_refresh_threshold=auto_refresh_threshold,
-        fit_workers=fit_workers,
     )
 
 

@@ -157,6 +157,15 @@ class ShardRouter:
         return sublakes
 
 
+def _shard_pool(num_shards: int) -> ThreadPoolExecutor | None:
+    """The pool shard fits, refreshes and query scatter run on: one thread
+    per shard, capped at this host's cores; none when that is one."""
+    workers = min(num_shards, os.cpu_count() or 1)
+    if workers <= 1:
+        return None
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="lake-shard")
+
+
 class ShardedLakeSession(DirectTransport):
     """N independently-fitted lake shards behind one session surface.
 
@@ -181,7 +190,6 @@ class ShardedLakeSession(DirectTransport):
         router: ShardRouter | None = None,
         gold_pairs: list[tuple[str, str, int]] | None = None,
         auto_refresh_threshold: float | None = None,
-        fit_workers: int | None = None,
     ):
         if router is None:
             if shards is None:
@@ -205,18 +213,7 @@ class ShardedLakeSession(DirectTransport):
         self.name = lake.name
         self.gold_pairs = gold_pairs
         self.auto_refresh_threshold = auto_refresh_threshold
-        workers = (
-            fit_workers if fit_workers is not None
-            else min(router.num_shards, os.cpu_count() or 1)
-        )
-        self.fit_workers = max(1, workers)
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=self.fit_workers, thread_name_prefix="lake-shard"
-            )
-            if self.fit_workers > 1 and router.num_shards > 1
-            else None
-        )
+        self._pool = _shard_pool(router.num_shards)
         #: Bound :class:`~repro.store.catalog.LakeStore` once :meth:`save`
         #: has written (or :func:`repro.open_lake` has reopened) a catalog.
         #: Set before shard fitting: a failed fit calls :meth:`close`.
@@ -242,7 +239,6 @@ class ShardedLakeSession(DirectTransport):
         name: str,
         gold_pairs,
         auto_refresh_threshold: float | None,
-        fit_workers: int,
         df_pipeline: DocumentPipeline,
         shards: list[LakeSession],
     ) -> "ShardedLakeSession":
@@ -254,14 +250,7 @@ class ShardedLakeSession(DirectTransport):
         session.name = name
         session.gold_pairs = gold_pairs
         session.auto_refresh_threshold = auto_refresh_threshold
-        session.fit_workers = fit_workers
-        session._pool = (
-            ThreadPoolExecutor(
-                max_workers=fit_workers, thread_name_prefix="lake-shard"
-            )
-            if fit_workers > 1 and router.num_shards > 1
-            else None
-        )
+        session._pool = _shard_pool(router.num_shards)
         session._df_pipeline = df_pipeline
         session.shards = shards
         session._store = None

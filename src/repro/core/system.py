@@ -178,7 +178,6 @@ class CMDL:
         shards: int | None = None,
         router=None,
         auto_refresh_threshold: float | None = None,
-        fit_workers: int | None = None,
     ):
         """Fit on ``lake`` and return a mutable session.
 
@@ -196,9 +195,9 @@ class CMDL:
         shard, and SRQL queries scatter-gather across shards. Shards share
         corpus-wide document-frequency / BM25 statistics, so a sharded
         session answers exactly as a monolithic one (see the sharding
-        module docs). ``fit_workers`` sizes that per-shard fit pool, which
-        also runs ``refresh()`` and query scatter (default: one worker per
-        shard, capped at the host's cores; 1 runs shards serially).
+        module docs). The shard pool, which also runs ``refresh()`` and
+        query scatter, has one thread per shard capped at the host's cores
+        (a single-core host runs shards serially).
         ``auto_refresh_threshold`` arms the embedding-drift auto-refresh on
         the session (each shard of a sharded session refreshes itself on
         its own schedule).
@@ -213,7 +212,6 @@ class CMDL:
                 router=router,
                 gold_pairs=gold_pairs,
                 auto_refresh_threshold=auto_refresh_threshold,
-                fit_workers=fit_workers,
             )
         from repro.core.session import LakeSession
 

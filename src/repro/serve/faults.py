@@ -22,9 +22,10 @@ Crash points:
 * ``after_journal_append`` — after the journal row is committed but
   before the append is acknowledged, i.e. inside the crash window
   between ``journal_append`` and the op body on the front-end.
-* ``mid_checkpoint`` — after the checkpoint's full-state rewrite ran
-  but before the journal tail is cleared/committed (SQLite rolls the
-  uncommitted rewrite back, so the journal must survive).
+* ``mid_checkpoint`` — after the checkpoint staged its writes (what the
+  shard session holds that the file does not) but before the journal
+  tail is cleared/committed (SQLite rolls the uncommitted writes back,
+  so the journal must survive).
 
 ``<op>`` matches the top-level RPC op *or* any sub-op inside a
 ``batch`` payload, so ``delay:keyword:5`` delays scatter-gather reads.

@@ -254,6 +254,7 @@ class ProcessBackend:
         self.num_shards = manifest.num_shards
         self.name = manifest.name
         self._seq = manifest.journal_seq
+        self.checkpoint_every = manifest.checkpoint_every
         self.router = manifest.router
         self._top = manifest.top
         self._df_pipeline = manifest.df_pipeline
@@ -340,6 +341,9 @@ class ProcessBackend:
         self._seq = max(
             [self._seq] + [ready.get("journal_seq", 0) for ready in readies]
         )
+        #: Journaled mutations since the last checkpoint (the replayed tail
+        #: counts: it is still in the journals).
+        self._pending = sum(ready["replayed"] for ready in readies)
 
     def _ripples(self) -> bool:
         """Whether document churn ripples across shards: a sharded lake
@@ -553,6 +557,14 @@ class ProcessBackend:
                     self._pending_crash.add(owner)
                 raise
         self._push_stats(changed)
+        self._pending += 1
+        if self.checkpoint_every and self._pending >= self.checkpoint_every:
+            try:
+                self.checkpoint()
+            except ShardUnavailable:
+                # The mutation stands, durable in its journal; the fold is
+                # retried after the next one.
+                pass
 
     def _resume_after_append_crash(
         self, op: str, plan: MutationPlan, owner: int, seq: int,
@@ -660,7 +672,9 @@ class ProcessBackend:
 
     def checkpoint(self) -> None:
         """Fold every worker's journal into its shard file and refresh the
-        manifest — the served catalog stays reopenable at any time."""
+        manifest — the served catalog stays reopenable at any time. Runs
+        on its own every ``checkpoint_every`` mutations, as in a session
+        bound to the catalog."""
         for shard, worker in enumerate(self.workers):
             try:
                 worker.call("checkpoint")
@@ -680,6 +694,7 @@ class ProcessBackend:
             self.catalog_db.put_state("top", self._top)
         self.catalog_db.put_meta("journal_seq", str(self._seq))
         self.catalog_db.commit()
+        self._pending = 0
 
     def close(self) -> None:
         for worker in self.workers:

@@ -81,12 +81,13 @@ from repro.serve.rpc import (
     frame_bytes,
 )
 from repro.store import (
+    ShardImage,
     ShardStore,
+    checkpoint_shard,
     read_manifest,
     replay_shard_journal,
     restore_shard_session,
 )
-from repro.store.catalog import _write_shard_full
 
 
 # ---------------------------------------------------------------- child side
@@ -159,9 +160,12 @@ def _sabotage_reply(conn: Connection, fault, result) -> None:
     os._exit(faults.CRASH_EXIT_CODE)
 
 
-def _serve_loop(conn: Connection, db, host, plan: faults.FaultPlan) -> None:
+def _serve_loop(
+    conn: Connection, db, host, image: ShardImage, plan: faults.FaultPlan
+) -> None:
     """Answer requests until shutdown/EOF. Op errors are shipped back as
-    ``("err", traceback)`` frames; the worker survives them."""
+    ``("err", traceback)`` frames; the worker survives them. ``image`` is
+    what the shard file holds (see :func:`repro.store.checkpoint_shard`)."""
     while True:
         try:
             op, payload = conn.recv()
@@ -192,12 +196,13 @@ def _serve_loop(conn: Connection, db, host, plan: faults.FaultPlan) -> None:
             elif op == "journal_entries":
                 result = list(db.journal_entries())
             elif op == "checkpoint":
-                _write_shard_full(db, host.session)
-                # Rewrite staged but journal not yet cleared/committed:
-                # SQLite rolls the rewrite back, the journal survives.
+                staged = checkpoint_shard(db, host.session, image)
+                # Writes staged but journal not yet cleared/committed:
+                # SQLite rolls the writes back, the journal survives.
                 plan.crash("mid_checkpoint")
                 db.clear_journal()
                 db.commit()
+                image = staged
                 result = None
             else:
                 result = host.handle(op, payload)
@@ -231,6 +236,7 @@ def main(shard_path: str, req_fd: int, hb_fd: int, index: int) -> int:
         db = ShardStore(shard_path)
         db.integrity_check()
         session = restore_shard_session(db)
+        image = ShardImage.of(session)  # the journal tail is not on file
         owns_document, sibling_entries = _replay_context(shard_path, index)
         replayed = replay_shard_journal(
             db,
@@ -262,7 +268,7 @@ def main(shard_path: str, req_fd: int, hb_fd: int, index: int) -> int:
         return 1
     threading.Thread(target=_heartbeat_loop, args=(hb_conn,), daemon=True).start()
     try:
-        _serve_loop(conn, db, host, plan)
+        _serve_loop(conn, db, host, image, plan)
     finally:
         conn.close()
         db.close()

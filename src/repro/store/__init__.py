@@ -8,15 +8,18 @@ Public surface::
     session = repro.open_lake("catalog/")   # reopen: no refit
     session = repro.CMDL.load("catalog/")   # equivalent
 
-See :mod:`repro.store.catalog` for the on-disk layout, the write-ahead
-mutation journal, and the incremental checkpoint machinery;
+See :mod:`repro.store.catalog` for the on-disk layout and the write-ahead
+mutation journal. A checkpoint is one function, ``checkpoint_shard``: it
+writes what a shard session holds that the ``ShardImage`` of its file does
+not (the catalog store and the process shard worker both call it);
 ``footprint(path)`` reports a saved catalog's bytes per component.
 """
 
 from repro.store.catalog import (
     DEFAULT_CHECKPOINT_EVERY,
     LakeStore,
-    ShardDirt,
+    ShardImage,
+    checkpoint_shard,
     footprint,
     load_catalog,
     read_manifest,
@@ -31,8 +34,9 @@ __all__ = [
     "CatalogCorrupt",
     "LakeStore",
     "SCHEMA_VERSION",
-    "ShardDirt",
+    "ShardImage",
     "ShardStore",
+    "checkpoint_shard",
     "footprint",
     "load_catalog",
     "read_manifest",

@@ -24,14 +24,13 @@ forests) stores a *reference* — the key — in place of a signature or
 vector it shares with the sketch, and restore resolves it through the
 already-restored profile (signatures bind to the sketch's own objects, as
 in the live session; forest rows are one division by the stored norm). This
-rests on one invariant of the dirty tracking below: **a sketch row changes
+rests on one invariant of the checkpoint below: **a sketch row changes
 only in a checkpoint that also rewrites every index section that references
-it** — column-sketch dirt implies the column index sections, document-sketch
-dirt the document ones (on a sharded lake, sibling shards included). A
-reference that does not resolve on restore raises
-:class:`~repro.store.shard.CatalogCorrupt` naming the file and section;
-it never yields a wrong row. :func:`footprint` reports where a catalog's
-bytes are.
+it** — a changed column sketch brings the column index sections, a changed
+document sketch the document ones, shard by shard. A reference that does
+not resolve on restore raises :class:`~repro.store.shard.CatalogCorrupt`
+naming the file and section; it never yields a wrong row. :func:`footprint`
+reports where a catalog's bytes are.
 
 Durability between checkpoints comes from a **write-ahead mutation
 journal**: a bound session appends each mutation (add/update/remove/
@@ -41,11 +40,15 @@ tables and clears the tail. Reopening a catalog replays any surviving tail
 through the public mutators — the reopened session lands on the exact
 generation the writer last reached.
 
-Checkpoints are incremental: per-shard dirty tracking (row-level for lake
-tables/documents/sketches, doc-side vs column-side for index structures)
-rewrites only what the journaled mutations touched; a refresh — which
-replaces a shard's whole catalog — falls back to a full rewrite, detected
-by identity against the index catalog seen at the previous checkpoint.
+Checkpoints are a diff of session state, not a replay of the journal: per
+shard, the store keeps a :class:`ShardImage` — weak references to the
+tables, documents, sketches and ``IndexCatalog`` the file was last written
+from or restored into — and :func:`checkpoint_shard` writes exactly the
+entries whose live object is not the imaged one, deletes the keys that are
+gone, and rewrites every state section when the ``IndexCatalog`` itself
+was replaced (a refresh). It knows no mutation op, so a new mutator needs
+nothing here; the shard worker of :mod:`repro.serve` checkpoints through
+the same function.
 """
 
 from __future__ import annotations
@@ -96,81 +99,6 @@ _EMBEDDER_CLASSES = {
     cls.__name__: cls
     for cls in (HashingEmbedder, PPMIEmbedder, BlendedEmbedder)
 }
-
-
-class ShardDirt:
-    """What one shard's journaled mutations touched since the checkpoint.
-
-    ``tables`` / ``docs`` are dicts used as ordered sets: delta rewrites
-    must hit SQLite in the same sequence the live dict was mutated, so the
-    DELETE+INSERT rowid order keeps matching dict insertion order.
-    """
-
-    __slots__ = (
-        "tables",
-        "tables_removed",
-        "docs",
-        "docs_removed",
-        "sketches",
-        "sketches_removed",
-        "all_doc_sketches",
-        "doc_indexes",
-        "col_indexes",
-        "full",
-    )
-
-    def __init__(self):
-        self.tables: dict[str, None] = {}
-        self.tables_removed: set[str] = set()
-        self.docs: dict[str, None] = {}
-        self.docs_removed: set[str] = set()
-        self.sketches: set[str] = set()
-        self.sketches_removed: set[str] = set()
-        #: A corpus-wide df-filter shift can re-sketch *any* document.
-        self.all_doc_sketches = False
-        self.doc_indexes = False
-        self.col_indexes = False
-        self.full = False
-
-    def mark_table(self, name: str) -> None:
-        self.tables.pop(name, None)
-        self.tables[name] = None
-        self.tables_removed.discard(name)
-
-    def mark_doc(self, doc_id: str) -> None:
-        self.docs.pop(doc_id, None)
-        self.docs[doc_id] = None
-        self.docs_removed.discard(doc_id)
-
-    def mark_sketch(self, de_id: str) -> None:
-        self.sketches.add(de_id)
-        self.sketches_removed.discard(de_id)
-
-    def remove_table(self, name: str) -> None:
-        self.tables.pop(name, None)
-        self.tables_removed.add(name)
-
-    def remove_doc(self, doc_id: str) -> None:
-        self.docs.pop(doc_id, None)
-        self.docs_removed.add(doc_id)
-
-    def remove_sketch(self, de_id: str) -> None:
-        self.sketches.discard(de_id)
-        self.sketches_removed.add(de_id)
-
-    def any(self) -> bool:
-        return bool(
-            self.full
-            or self.tables
-            or self.tables_removed
-            or self.docs
-            or self.docs_removed
-            or self.sketches
-            or self.sketches_removed
-            or self.all_doc_sketches
-            or self.doc_indexes
-            or self.col_indexes
-        )
 
 
 # ------------------------------------------------------------ state helpers
@@ -260,73 +188,128 @@ def _write_shard_small(db: ShardStore, session: LakeSession) -> None:
             "text_columns": sorted(indexes._text_columns),
         },
     )
+    # A sharded lake's pinned df filter can move while none of this
+    # shard's documents do.
+    db.put_state("pipeline", session.profiler.pipeline.persistent_state())
     db.put_meta("generation", str(engine.generation))
     db.put_meta("lake_name", session.lake.name)
 
 
-def _write_shard_full(db: ShardStore, session: LakeSession) -> None:
-    db.clear("lake_tables")
-    db.clear("lake_documents")
-    db.clear("sketches")
-    for table in session.lake.tables:
-        db.put_row("lake_tables", table.name, table)
-    for document in session.lake.documents:
-        db.put_row("lake_documents", document.doc_id, document)
-    for de_id, sketch in session.profile.documents.items():
-        db.put_sketch(de_id, sketch.kind, sketch)
-    for de_id, sketch in session.profile.columns.items():
-        db.put_sketch(de_id, sketch.kind, sketch)
-    indexes = session.indexes
-    for name in INDEX_SECTIONS:
-        db.put_state(f"index:{name}", indexes.section_state(name))
-    db.put_state("embedder", _embedder_state(session.profiler.embedder))
-    db.put_state("pipeline", session.profiler.pipeline.persistent_state())
-    db.put_state("config", _config_state(session.cmdl.config))
-    db.put_state("joint", {"model": session.cmdl.joint_model})
-    _write_shard_small(db, session)
+def _shard_sessions(session) -> list[LakeSession]:
+    """A catalog's shard sessions (a monolithic lake is one shard)."""
+    if isinstance(session, ShardedLakeSession):
+        return session.shards
+    return [session]
 
 
-def _write_shard_delta(
-    db: ShardStore, session: LakeSession, dirt: ShardDirt
-) -> None:
-    for name in dirt.tables_removed:
-        db.delete_row("lake_tables", name)
-    for name in dirt.tables:  # insertion order — see ShardDirt
-        if session.lake.has_table(name):
-            db.put_row("lake_tables", name, session.lake.table(name))
-    for doc_id in dirt.docs_removed:
-        db.delete_row("lake_documents", doc_id)
-    for doc_id in dirt.docs:
-        if session.lake.has_document(doc_id):
-            db.put_row("lake_documents", doc_id, session.lake.document(doc_id))
+class ShardImage(NamedTuple):
+    """What one shard file holds, as the live objects it was last written
+    from (or restored into): weak references keyed as the file keys its
+    rows, the two lake row maps in rowid order. A checkpoint diffs the
+    session against its image; it knows nothing of the mutations between.
+    """
 
-    for de_id in sorted(dirt.sketches_removed):
+    tables: dict[str, weakref.ref]
+    documents: dict[str, weakref.ref]
+    doc_sketches: dict[str, weakref.ref]
+    col_sketches: dict[str, weakref.ref]
+    indexes: weakref.ref | None
+
+    @classmethod
+    def of(cls, session: LakeSession) -> "ShardImage":
+        """The image of ``session`` as it stands."""
+        return cls(*(_refs(live) for live in _live_maps(session)),
+                   weakref.ref(session.indexes))
+
+
+def _live_maps(session: LakeSession) -> tuple[dict, ...]:
+    lake, profile = session.lake, session.profile
+    return (
+        {table.name: table for table in lake.tables},
+        {document.doc_id: document for document in lake.documents},
+        profile.documents,
+        profile.columns,
+    )
+
+
+def _refs(live: dict) -> dict[str, weakref.ref]:
+    return {key: weakref.ref(obj) for key, obj in live.items()}
+
+
+def _stale(live: dict, written: dict[str, weakref.ref]) -> list[str]:
+    """Keys whose live object is not the one last written, in live order."""
+    return [
+        key for key, obj in live.items()
+        if key not in written or written[key]() is not obj
+    ]
+
+
+def _write_rows(db: ShardStore, table: str, live: dict, written: dict) -> None:
+    stale = _stale(live, written)
+    fresh = set(stale)
+    kept = [key for key in written if key in live and key not in fresh]
+    if kept + stale != list(live):
+        # Restore adds rows in rowid order, which must be the live dict's
+        # order; rewritten rows go to the end, so when a kept row moved (a
+        # table removed and re-added as the same object) rewrite them all.
+        db.clear(table)
+        stale = list(live)
+    else:
+        for key in written.keys() - live.keys():
+            db.delete_row(table, key)
+    for key in stale:
+        db.put_row(table, key, live[key])
+
+
+def _write_sketches(db: ShardStore, live: dict, written: dict) -> bool:
+    """Bring one side's sketch rows up to date; whether any changed."""
+    stale = _stale(live, written)
+    gone = written.keys() - live.keys()
+    for de_id in gone:
         db.delete_sketch(de_id)
-    dirty_sketches = set(dirt.sketches)
-    if dirt.all_doc_sketches:
-        # A df-filter shift may have re-sketched any document: rewrite the
-        # document side wholesale (sketch row order is immaterial — restore
-        # orders by the profile_meta lists).
-        db.delete_sketches_of_kind("document")
-        dirty_sketches.update(session.profile.documents)
-    for de_id in sorted(dirty_sketches):
-        sketch = session.profile.documents.get(de_id)
-        if sketch is None:
-            sketch = session.profile.columns.get(de_id)
-        if sketch is not None:
-            db.put_sketch(de_id, sketch.kind, sketch)
+    for de_id in stale:
+        db.put_sketch(de_id, live[de_id].kind, live[de_id])
+    return bool(stale or gone)
 
+
+def checkpoint_shard(
+    db: ShardStore, session: LakeSession, image: ShardImage | None = None
+) -> ShardImage:
+    """Stage on ``db`` what ``session`` holds that ``image`` — what the
+    file was last written from or restored into — does not, and return
+    the session's new image; ``image=None`` writes everything.
+
+    Rows and sketches are written when their live object is not the
+    imaged one and deleted when their key is gone; a side's index
+    sections when any of its sketches changed (the invariant schema v2
+    rests on, see the module docs); every state section when the
+    ``IndexCatalog`` is not the imaged one (a refresh refitted the shard);
+    the small sections always. The caller clears the journal and commits:
+    one body behind ``LakeStore.checkpoint``, ``save`` and the shard
+    worker's ``checkpoint`` op.
+    """
+    if image is None:
+        for table in ("lake_tables", "lake_documents", "sketches"):
+            db.clear(table)
+        image = ShardImage({}, {}, {}, {}, None)
+    full = image.indexes is None or image.indexes() is not session.indexes
+    tables, documents, doc_sketches, col_sketches = _live_maps(session)
+    _write_rows(db, "lake_tables", tables, image.tables)
+    _write_rows(db, "lake_documents", documents, image.documents)
+    sections = ()
+    if _write_sketches(db, doc_sketches, image.doc_sketches) or full:
+        sections += DOC_INDEX_SECTIONS
+    if _write_sketches(db, col_sketches, image.col_sketches) or full:
+        sections += COL_INDEX_SECTIONS
     indexes = session.indexes
-    if dirt.doc_indexes:
-        for name in DOC_INDEX_SECTIONS:
-            db.put_state(f"index:{name}", indexes.section_state(name))
-    if dirt.col_indexes:
-        for name in COL_INDEX_SECTIONS:
-            db.put_state(f"index:{name}", indexes.section_state(name))
-    if dirt.all_doc_sketches or dirt.docs or dirt.docs_removed:
-        # Document churn refits the df filter (and its pinned copies).
-        db.put_state("pipeline", session.profiler.pipeline.persistent_state())
+    for name in sections:
+        db.put_state(f"index:{name}", indexes.section_state(name))
+    if full:
+        db.put_state("embedder", _embedder_state(session.profiler.embedder))
+        db.put_state("config", _config_state(session.cmdl.config))
+        db.put_state("joint", {"model": session.cmdl.joint_model})
     _write_shard_small(db, session)
+    return ShardImage.of(session)
 
 
 # ---------------------------------------------------------- shard restoring
@@ -475,6 +458,9 @@ def read_manifest(db: ShardStore) -> Manifest:
             seed=state["seed"],
         )
         top = db.get_state("top")
+        # A pool size picked on one host means nothing on another: drop
+        # it, so a server rewriting this manifest does not carry it on.
+        top.pop("fit_workers", None)
         if top.get("global_stats", True) is not True:
             raise CatalogCorrupt(
                 f"catalog file {db.path} was saved with shard-local "
@@ -502,8 +488,9 @@ class LakeStore:
     Created by ``session.save(path)`` (which full-writes every shard) or by
     :func:`load_catalog` (which restores the session from disk). While
     bound, every session mutation passes through :meth:`journal_scope` —
-    write-ahead journaling plus dirty tracking — and :meth:`checkpoint`
-    folds the journal tail into the data tables incrementally.
+    write-ahead journaling, nothing else — and :meth:`checkpoint` folds
+    the journal tail into the data tables by diffing each shard session
+    against the :class:`ShardImage` of what its file holds.
     """
 
     def __init__(
@@ -513,6 +500,7 @@ class LakeStore:
         catalog_db: ShardStore,
         shard_dbs: list[ShardStore],
         session,
+        images: list[ShardImage | None],
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ):
         self.path = path
@@ -524,10 +512,8 @@ class LakeStore:
         #: Journal placement (a monolithic catalog is one shard).
         self._router = session.router if kind == "sharded" else ShardRouter(1)
         self._seq = int(catalog_db.get_meta("journal_seq", "0"))
-        self._dirt = [ShardDirt() for _ in shard_dbs]
-        self._seen_indexes = [
-            weakref.ref(s.indexes) for s in self._shard_sessions()
-        ]
+        #: Per shard, what its file holds (``None``: unknown, write all).
+        self._images = images
         self._pending = 0
         self._active = False
         self._replaying = False
@@ -543,7 +529,7 @@ class LakeStore:
         kind = (
             "sharded" if isinstance(session, ShardedLakeSession) else "monolithic"
         )
-        shard_sessions = session.shards if kind == "sharded" else [session]
+        shard_sessions = _shard_sessions(session)
         # Drop shard files (and WAL sidecars) a previous, differently-shaped
         # catalog left behind.
         keep = {f"shard-{i:04d}.sqlite" for i in range(len(shard_sessions))}
@@ -555,13 +541,12 @@ class LakeStore:
             ShardStore(path / f"shard-{i:04d}.sqlite", create=True)
             for i in range(len(shard_sessions))
         ]
-        store = cls(path, kind, catalog_db, shard_dbs, session)
-        for db, shard_session in zip(shard_dbs, shard_sessions):
-            _write_shard_full(db, shard_session)
-            db.clear_journal()
-            db.commit()
+        store = cls(
+            path, kind, catalog_db, shard_dbs, session,
+            images=[None] * len(shard_dbs),
+        )
         store._seq = 0
-        store._write_manifest()
+        store.checkpoint()
         session._store = store
         return store
 
@@ -597,7 +582,6 @@ class LakeStore:
                 name=manifest.name,
                 gold_pairs=top["gold_pairs"],
                 auto_refresh_threshold=top["auto_refresh_threshold"],
-                fit_workers=top["fit_workers"],
                 df_pipeline=manifest.df_pipeline,
                 shards=shards,
             )
@@ -607,6 +591,8 @@ class LakeStore:
             catalog_db,
             shard_dbs,
             session,
+            # Imaged before the replay: the journal tail is not on file.
+            images=[ShardImage.of(s) for s in _shard_sessions(session)],
             checkpoint_every=manifest.checkpoint_every,
         )
         session._store = store
@@ -632,12 +618,10 @@ class LakeStore:
             return
         self._active = True
         try:
-            shard_idx = journal_shard(op, payload, self._router)
-            pre = self._pre_dirt(shard_idx, op, payload)
             seq = None
             if not self._replaying:
                 seq = self._next_seq()
-                db = self.shard_dbs[shard_idx]
+                db = self.shard_dbs[journal_shard(op, payload, self._router)]
                 db.append_journal(seq, op, payload)
                 db.commit()
             try:
@@ -647,7 +631,6 @@ class LakeStore:
                     db.delete_journal(seq)
                     db.commit()
                 raise
-            self._post_dirt(shard_idx, op, payload, pre)
             if not self._replaying:
                 self._pending += 1
                 if self.checkpoint_every and self._pending >= self.checkpoint_every:
@@ -676,101 +659,19 @@ class LakeStore:
             self._replaying = False
         self._pending = len(entries)
 
-    # ------------------------------------------------------ dirty tracking
-
-    def _shard_sessions(self) -> list[LakeSession]:
-        if self.kind == "sharded":
-            return self.session.shards
-        return [self.session]
-
-    def _dirty_document_side(self) -> None:
-        """A document mutation may touch every shard's document side: the
-        corpus-wide df filter of a sharded lake ripples to siblings."""
-        for dirt in self._dirt:
-            dirt.all_doc_sketches = True
-            dirt.doc_indexes = True
-
-    def _pre_dirt(self, shard_idx: int, op: str, payload) -> dict:
-        session = self._shard_sessions()[shard_idx]
-        if op == "update_table":
-            name = payload["table"].name
-            return {
-                "old_columns": list(session.profile.columns_of_table(name))
-            }
-        if op == "remove":
-            name = payload["name"]
-            if session.lake.has_table(name):
-                return {
-                    "kind": "table",
-                    "columns": list(session.profile.columns_of_table(name)),
-                }
-            return {"kind": "document"}
-        return {}
-
-    def _post_dirt(self, shard_idx: int, op: str, payload, pre: dict) -> None:
-        dirt = self._dirt[shard_idx]
-        session = self._shard_sessions()[shard_idx]
-        if op == "add_table":
-            name = payload["table"].name
-            dirt.mark_table(name)
-            for col_id in session.profile.columns_of_table(name):
-                dirt.mark_sketch(col_id)
-            dirt.col_indexes = True
-        elif op == "update_table":
-            name = payload["table"].name
-            dirt.mark_table(name)
-            new_columns = set(session.profile.columns_of_table(name))
-            for col_id in set(pre["old_columns"]) - new_columns:
-                dirt.remove_sketch(col_id)
-            for col_id in session.profile.columns_of_table(name):
-                dirt.mark_sketch(col_id)
-            dirt.col_indexes = True
-        elif op == "add_documents":
-            for document in payload["documents"]:
-                self._dirt[self._router.shard_of(document.doc_id)].mark_doc(
-                    document.doc_id
-                )
-            self._dirty_document_side()
-        elif op == "remove":
-            if pre["kind"] == "table":
-                dirt.remove_table(payload["name"])
-                for col_id in pre["columns"]:
-                    dirt.remove_sketch(col_id)
-                dirt.col_indexes = True
-            else:
-                dirt.remove_doc(payload["name"])
-                dirt.remove_sketch(payload["name"])
-                self._dirty_document_side()
-        elif op in ("rebalance", "refresh"):
-            for shard_dirt in self._dirt:
-                shard_dirt.full = True
-        else:  # pragma: no cover - session mutators journal known ops only
-            raise ValueError(f"unknown journal op {op!r}")
-
     # --------------------------------------------------------- checkpoint
 
     def checkpoint(self) -> None:
-        """Fold the journal tail into the data tables and clear it.
-
-        Shards whose index catalog was replaced since the last checkpoint
-        (an explicit or drift-triggered refresh) are rewritten in full; the
-        rest get a delta write covering exactly what the dirty tracker saw.
-        """
-        shard_sessions = self._shard_sessions()
+        """Fold the journal tail into the data tables and clear it: each
+        shard file gets what its session holds that the file does not
+        (:func:`checkpoint_shard`)."""
         for i, (db, shard_session) in enumerate(
-            zip(self.shard_dbs, shard_sessions)
+            zip(self.shard_dbs, _shard_sessions(self.session))
         ):
-            dirt = self._dirt[i]
-            if self._seen_indexes[i]() is not shard_session.indexes:
-                dirt.full = True
-            if dirt.full:
-                _write_shard_full(db, shard_session)
-            elif dirt.any():
-                _write_shard_delta(db, shard_session, dirt)
+            image = checkpoint_shard(db, shard_session, self._images[i])
             db.clear_journal()
             db.commit()
-            self._dirt[i] = ShardDirt()
-            self._seen_indexes[i] = weakref.ref(shard_session.indexes)
+            self._images[i] = image
         self._write_manifest()
         self._pending = 0
 
@@ -796,7 +697,6 @@ class LakeStore:
                 {
                     "gold_pairs": session.gold_pairs,
                     "auto_refresh_threshold": session.auto_refresh_threshold,
-                    "fit_workers": session.fit_workers,
                     "config": _config_state(session.config),
                     "df_pipeline": session._df_pipeline.persistent_state(),
                 },

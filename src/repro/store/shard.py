@@ -184,9 +184,6 @@ class ShardStore:
     def delete_sketch(self, de_id: str) -> None:
         self.conn.execute("DELETE FROM sketches WHERE de_id = ?", (de_id,))
 
-    def delete_sketches_of_kind(self, kind: str) -> None:
-        self.conn.execute("DELETE FROM sketches WHERE kind = ?", (kind,))
-
     def iter_sketches(self):
         for de_id, kind, payload in self.conn.execute(
             "SELECT de_id, kind, payload FROM sketches"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import sys
 import threading
 import time
@@ -762,10 +763,12 @@ class TestSwitchInterval:
         assert len(inside) == 8 * 200 and set(inside) == {0.0005}
         assert sys.getswitchinterval() == before
 
-    def test_concurrent_shard_fits_restore_interval(self, pharma_lake_m):
+    def test_concurrent_shard_fits_restore_interval(self, pharma_lake_m,
+                                                     monkeypatch):
         before = sys.getswitchinterval()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with CMDL(CMDLConfig(use_joint=False, seed=0)).open(
-            pharma_lake_m, shards=2, fit_workers=2
+            pharma_lake_m, shards=2
         ) as session:
             assert session._pool is not None
             assert sys.getswitchinterval() == before

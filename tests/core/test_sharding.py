@@ -12,6 +12,8 @@ scores merge-exact (see the sharding module docs).
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.session import LakeSession, open_lake
@@ -149,12 +151,14 @@ class TestShardedParitySlow:
         assert set(stats.shard_seconds) == {0, 1, 2, 3}
         assert stats.pkfk_sweeps == 1  # one lake-wide sweep fed every query
 
-    def test_threaded_scatter_matches_serial(self, pharma_generated):
+    def test_threaded_scatter_matches_serial(self, pharma_generated,
+                                             monkeypatch):
         lake = pharma_generated.lake
-        serial = open_lake(_copy_lake(lake), _config(), shards=2, fit_workers=1)
-        with open_lake(
-            _copy_lake(lake), _config(), shards=2, fit_workers=2
-        ) as threaded:
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = open_lake(_copy_lake(lake), _config(), shards=2)
+        assert serial._pool is None
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with open_lake(_copy_lake(lake), _config(), shards=2) as threaded:
             assert threaded._pool is not None
             for query in _workload(serial.profile):
                 assert (

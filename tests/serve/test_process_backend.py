@@ -13,7 +13,9 @@ from __future__ import annotations
 import gc
 import os
 import shutil
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.session import open_lake
 from repro.core.srql import Q
 from repro.relational.table import Table
 from repro.serve import LakeServer, ShardUnavailable, faults
+from repro.store import ShardStore
 
 from tests.serve.conftest import (
     assert_same_results,
@@ -146,6 +149,99 @@ class TestJournalReplay:
             assert_same_results(want, got, queries, "replay vs reference")
         finally:
             rebooted.close()
+
+
+#: Row key column of each audited table of a shard file.
+_AUDITED = {"state": "section", "arrays": "section",
+            "lake_tables": "name", "lake_documents": "doc_id",
+            "sketches": "de_id"}
+
+
+def _audit(path) -> None:
+    """Triggers that log every row a writer inserts, updates or deletes
+    in ``path`` — they fire inside the shard worker's own connection."""
+    with closing(sqlite3.connect(path)) as conn:
+        conn.execute("CREATE TABLE audit (tbl TEXT, key TEXT)")
+        for table, key in _AUDITED.items():
+            for event, row in (("INSERT", "NEW"), ("UPDATE", "NEW"),
+                               ("DELETE", "OLD")):
+                conn.execute(
+                    f"CREATE TRIGGER audit_{table}_{event} AFTER {event} "
+                    f"ON {table} BEGIN INSERT INTO audit "
+                    f"VALUES ('{table}', {row}.{key}); END"
+                )
+        conn.commit()
+
+
+def _audited(path) -> set[tuple[str, str]]:
+    with closing(sqlite3.connect(path)) as conn:
+        return set(conn.execute("SELECT tbl, key FROM audit"))
+
+
+class TestCheckpoint:
+    def test_table_checkpoint_leaves_document_sections_untouched(
+            self, seed_lakes, tmp_path):
+        """A worker checkpoints a delta, not its whole shard: after one
+        table mutation no document row, sketch or section is rewritten."""
+        reference = saved_session(seed_lakes["pharma"], tmp_path / "lake")
+        files = sorted((tmp_path / "lake").glob("shard-*.sqlite"))
+        for file in files:
+            _audit(file)
+        server = LakeServer(tmp_path / "lake", backend="process")
+        try:
+            server.add_table(Table.from_dict("audit_extra", {
+                "audit_id": ["A1", "A2", "A3"], "label": ["x", "y", "z"],
+            }))
+            server.checkpoint()
+        finally:
+            server.close()
+        owner = files[reference.router.shard_of("audit_extra")]
+        for file in files:
+            touched = _audited(file)
+            sections = {key for tbl, key in touched if tbl == "state"}
+            assert not {key for key in sections if key.startswith("index:doc_")}
+            assert not {key for tbl, key in touched if tbl == "lake_documents"}
+            if file == owner:
+                assert ("lake_tables", "audit_extra") in touched
+                assert "index:column_schema" in sections
+                assert {key for tbl, key in touched if tbl == "sketches"} \
+                    == {"audit_extra.audit_id", "audit_extra.label"}
+            else:
+                assert not {key for tbl, key in touched if tbl == "sketches"}
+                assert not {key for key in sections
+                            if key.startswith("index:column_")}
+
+    def test_auto_checkpoint_bounds_worker_journals(self, seed_lakes, tmp_path):
+        """The server folds its workers' journals every ``checkpoint_every``
+        mutations of the catalog, as a bound session does."""
+        reference = open_lake(copy_lake(seed_lakes["pharma"]), parity_config(),
+                              shards=2)
+        path = reference.save(tmp_path / "lake")
+        reference._store.checkpoint_every = 3
+        reference.save()  # the manifest now carries the bound
+        reference.close()
+        files = sorted(path.glob("shard-*.sqlite"))
+        server = LakeServer(path, backend="process")
+        try:
+            for i in range(7):
+                table = Table.from_dict(f"auto_{i}", {
+                    "auto_id": [f"K{i}", f"L{i}"], "note": ["p", "q"],
+                })
+                server.add_table(table)
+                reference.add_table(table)
+                for file in files:
+                    with closing(ShardStore(file)) as db:
+                        assert len(db.journal_entries()) < 3
+        finally:
+            server.close()
+        reopened = open_lake(path)
+        try:
+            queries = workload(reference)
+            assert_same_results(reference.discover_batch(queries),
+                                reopened.discover_batch(queries), queries,
+                                "reopen after auto-checkpoints")
+        finally:
+            reopened.close()
 
 
 class TestCrashWindow:

@@ -86,7 +86,6 @@ class TestSaveAndReopen:
     @pytest.mark.parametrize("option", [
         {"gold_pairs": [("doc:aspirin", "drugs.name", 1)]},
         {"auto_refresh_threshold": 0.01},
-        {"fit_workers": 8},
         {"global_stats": False},
     ], ids=lambda option: next(iter(option)))
     def test_open_lake_path_rejects_every_option(self, toy_lake, tmp_path,

@@ -118,8 +118,8 @@ class TestShardStore:
         assert sorted(de_id for de_id, _, _ in store.iter_sketches()) == [
             "doc::a", "tbl::c2"
         ]
-        store.delete_sketches_of_kind("document")
-        assert [de_id for de_id, _, _ in store.iter_sketches()] == ["tbl::c2"]
+        store.clear("sketches")
+        assert list(store.iter_sketches()) == []
         store.close()
 
     def test_state_sections_round_trip_arrays(self, tmp_path):
